@@ -281,9 +281,8 @@ def cmd_sum_bound(args, cfg: RunConfig) -> int:
     rows = []
     status = EXIT_OK
     for law in laws:
-        smooth = jalpha.smooth_for_spectral(law, alpha)
+        smooth, f = jalpha.spectral_realization(law, alpha, n=cfg.n_points)
         grid = auto_grid(smooth, n=cfg.n_points, extent_factor=jalpha.SPECTRAL_EXTENT_FACTOR)
-        f = realize(smooth, grid)
         h_x = f.entropy()
         j_x = jalpha.jalpha_spectral(f, alpha).value
         h_bound = bounds.entropy_sum_upper(h_x, j_x, alpha, gamma)

@@ -148,12 +148,11 @@ class GriddedDensity:
         if self._spline is None:
             thresh = float(np.max(self.values)) * 1e-14
             i = int(np.argmax(self.values))
-            lo = i
-            while lo > 0 and self.values[lo - 1] > thresh:
-                lo -= 1
-            hi = i
-            while hi < self.n - 1 and self.values[hi + 1] > thresh:
-                hi += 1
+            # the run of values above thresh that contains the peak
+            stop = np.flatnonzero(~(self.values > thresh))
+            left, right = stop[stop < i], stop[stop > i]
+            lo = int(left[-1]) + 1 if left.size else 0
+            hi = int(right[0]) - 1 if right.size else self.n - 1
             sl = slice(lo, hi + 1)
             logp = np.log(np.clip(self.values[sl], _FLOOR, None))
             self._spline = CubicSpline(self.x[sl], logp, extrapolate=False)

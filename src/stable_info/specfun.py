@@ -1,10 +1,9 @@
 """Special functions used by the closed-form expressions.
 
-Gamma, log-gamma and digamma are delegated to scipy (argument checking
-added on top, since downstream formulas are only valid for positive
-arguments).  The Gauss hypergeometric function is implemented here
-directly: only real arguments z < 1 are ever needed, and the power
-series plus one linear transformation covers that whole domain.
+Gamma, log-gamma, digamma and the Gauss hypergeometric function are
+delegated to scipy, with argument checking added on top: downstream
+formulas are only valid for positive arguments, and 2F1 only for real
+z < 1.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.57721566490153286061
-
-_SERIES_TOL = 1e-14
-_SERIES_MAX_ITER = 10**6
 
 
 def gamma_fn(x: float) -> float:
@@ -48,36 +44,13 @@ def digamma(x: float) -> float:
     return float(_sc.psi(x))
 
 
-def _2f1_series(a: float, b: float, c: float, z: float) -> float:
-    # plain power series, valid for 0 <= z < 1
-    term = 1.0
-    total = 1.0
-    for n in range(_SERIES_MAX_ITER):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
-        total += term
-        if abs(term) < _SERIES_TOL * abs(total):
-            return total
-    raise ArithmeticError(
-        f"2F1 series did not converge for a={a}, b={b}, c={c}, z={z}"
-    )
-
-
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; z) for real z < 1.
-
-    Negative arguments are mapped into [0, 1) through
-    2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) before summing
-    the series.
-    """
+    """Gauss hypergeometric function 2F1(a, b; c; z) for real z < 1."""
     if c <= 0 and c == int(c):
         raise ValueError(f"gauss_2f1 undefined for non-positive integer c={c}")
     if z >= 1:
         raise ValueError(f"gauss_2f1 requires z < 1, got {z}")
-    if z == 0:
-        return 1.0
-    if z < 0:
-        return (1.0 - z) ** (-a) * _2f1_series(a, c - b, c, z / (z - 1.0))
-    return _2f1_series(a, b, c, z)
+    return float(_sc.hyp2f1(a, b, c, z))
 
 
 def kappa_alpha(alpha: float) -> float:

@@ -76,6 +76,10 @@ class TestEntropySumUpper:
     def test_zero_information_collapses(self):
         assert entropy_sum_upper(1.0, 0.0, 1.8, 1.0) == 1.0
 
+    def test_large_argument_is_finite(self):
+        # -t is about -1.6e6 in 2F1 here
+        assert math.isfinite(entropy_sum_upper(1.0, 5.0, 1.2, 2.0))
+
     def test_monotone_in_information(self):
         vals = [entropy_sum_upper(0.0, j, 1.8, 1.0) for j in (0.1, 0.5, 1.0, 2.0, 5.0)]
         assert all(vals[i] < vals[i + 1] for i in range(len(vals) - 1))

@@ -186,6 +186,13 @@ class TestBoundCommands:
         _, rows = read_csv(out)
         assert float(rows[0][5]) >= -1e-3  # slack column
 
+    def test_sum_bound_heavy_smoothing(self, capsys):
+        # the Laplace law needs the spectral rule's smoothing scale here
+        code, out, _ = run_cli(capsys, "sum-bound", "--laws", "laplace:1", "--alpha", "1.2")
+        assert code == EXIT_OK
+        _, rows = read_csv(out)
+        assert float(rows[0][5]) >= -1e-3
+
     def test_debruijn_check_passes(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -82,6 +82,29 @@ class TestGriddedDensity:
             expect = -0.5 * math.log(2 * math.pi) - x**2 / 2
             assert float(f.logpdf(x)) == pytest.approx(expect, abs=1e-6)
 
+    @pytest.mark.parametrize("sigma,L", [(3.0, 12.0), (1.0, 60.0)])
+    def test_logpdf_spline_span(self, sigma, L):
+        # N(0, 9) on [-12, 12) stays above the cut, so the spline spans
+        # the whole grid; N(0, 1) on [-60, 60) underflows to 0 in both
+        # wings, so the spline stops short of the grid ends
+        def loop_span(v):
+            thresh = float(np.max(v)) * 1e-14
+            i = int(np.argmax(v))
+            lo = i
+            while lo > 0 and v[lo - 1] > thresh:
+                lo -= 1
+            hi = i
+            while hi < len(v) - 1 and v[hi + 1] > thresh:
+                hi += 1
+            return lo, hi
+
+        f = gaussian_grid(sigma=sigma, L=L)
+        f.logpdf(0.0)
+        lo, hi = loop_span(f.values)
+        assert (f._spline.x[0], f._spline.x[-1]) == (f.x[lo], f.x[hi])
+        assert ((lo, hi) == (0, f.n - 1)) == (sigma == 3.0)
+        assert (np.min(f.values) == 0.0) == (sigma == 1.0)
+
     def test_logpdf_beyond_grid_without_tail_is_floored(self):
         f = gaussian_grid()
         assert float(f.logpdf(100.0)) < -600.0

@@ -63,6 +63,27 @@ class TestGauss2F1:
         expect = float(mpmath.hyp2f1(a, b, c, z))
         assert gauss_2f1(a, b, c, z) == pytest.approx(expect, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "a,b,c,z",
+        [
+            (0.2, 0.2, 1.2, -1e4),
+            (0.8, 0.8, 1.8, -1e4),
+            (0.2, 0.2, 1.2, -1e6),
+            (0.5, 0.5, 1.5, -1e6),
+            (0.8, 0.8, 1.8, -1e6),
+        ],
+    )
+    def test_large_negative_argument(self, a, b, c, z):
+        # z/(z-1) lies within 1e-4 of 1 here, beyond a plain power series
+        expect = float(mpmath.hyp2f1(a, b, c, z))
+        assert gauss_2f1(a, b, c, z) == pytest.approx(expect, rel=1e-10)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            gauss_2f1(1.0, 1.0, -2.0, 0.5)
+        with pytest.raises(ValueError):
+            gauss_2f1(1.0, 1.0, 2.0, 1.0)
+
     @given(
         st.floats(min_value=0.1, max_value=1.0),
         st.floats(min_value=-30.0, max_value=-0.01),

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 from scipy.stats import kstest
 
 from stable_info.gridded import GridSpec
 from stable_info.specfun import gamma_fn
 from stable_info.stable import (
+    _TAIL_TERMS,
     ReferenceStable,
     StableParams,
+    _alias_images,
+    _series_coeffs,
     cf_sas,
     default_grid,
     logpdf_sas,
@@ -132,6 +136,30 @@ class TestDensity:
         with pytest.warns(UserWarning):
             with pytest.raises(ValueError):
                 pdf_grid_sas(0.25, 1.0, default_grid(0.25, 1.0))
+
+
+class TestAliasCorrection:
+    @pytest.mark.parametrize("alpha", [0.4, 0.8, 1.2, 1.5, 1.8])
+    def test_interpolant_matches_direct_zeta_sum(self, alpha):
+        # the image sum evaluated term by term at every point, against
+        # the 33-node Chebyshev interpolant of the same sum
+        grid = default_grid(alpha, 1.0)
+        L = grid.half_extent
+        x = grid.points()[:: grid.n // 256]
+        x = np.append(x, L)
+        assert x.size == 257
+        s = np.arange(1, _TAIL_TERMS + 1) * alpha + 1.0
+        u = x[:, None] / (2.0 * L)
+        terms = _series_coeffs(alpha, 1.0) * (2.0 * L) ** (-s)
+        direct = (terms * (zeta(s, 1.0 + u) + zeta(s, 1.0 - u))).sum(axis=1)
+        peak = float(np.max(pdf_grid_sas(alpha, 1.0, grid).values))
+        assert np.max(np.abs(_alias_images(x, alpha, 1.0, L) - direct)) <= 1e-15 * peak
+
+    def test_cauchy_grid_matches_closed_form(self):
+        f = pdf_grid_sas(1.0, 1.0, default_grid(1.0, 1.0))
+        sel = np.abs(f.x) <= f.accurate_radius
+        exact = cauchy_pdf(f.x[sel], 1.0)
+        assert np.max(np.abs(f.values[sel] / exact - 1.0)) <= 5e-8
 
 
 class TestLogpdf:
