@@ -355,7 +355,7 @@ def cmd_crb_bench(args, cfg: RunConfig) -> int:
         "estimator": run.estimator,
         "error_alpha_power": run.error_alpha_power,
         "crb": run.crb,
-        "ratio": run.error_alpha_power / run.crb,
+        "ratio": None if run.crb is None else run.error_alpha_power / run.crb,
         "diagnostics": run.diagnostics,
     }
     if args.errors_csv:
@@ -365,7 +365,7 @@ def cmd_crb_bench(args, cfg: RunConfig) -> int:
             for e in run.errors:
                 w.writerow([repr(float(e))])
     _emit_json(cfg, payload)
-    if run.error_alpha_power < run.crb * (1.0 - 0.02):
+    if run.crb is not None and run.error_alpha_power < run.crb * (1.0 - 0.02):
         return EXIT_VIOLATION
     return EXIT_OK
 

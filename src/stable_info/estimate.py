@@ -46,72 +46,126 @@ def crb_stable(alpha: float, gamma_N: float, d: int = 1) -> float:
     return crb_general(jalpha_closed_stable(alpha, gamma_N, d), alpha, d)
 
 
-def _refine_minimum(objective, seeds: np.ndarray, pad: float) -> float:
-    """Locate the minimizer: evaluate at the seed points, lay a fine
-    grid over the basin around the best seed (half-way to its
-    neighbors, padded at the boundary), then golden-section."""
-    seeds = np.sort(np.asarray(seeds, dtype=float))
-    vals = np.array([objective(t) for t in seeds])
-    i = int(np.argmin(vals))
-    lo = seeds[i] - ((seeds[i] - seeds[i - 1]) / 2.0 if i > 0 else pad)
-    hi = seeds[i] + ((seeds[i + 1] - seeds[i]) / 2.0 if i < len(seeds) - 1 else pad)
-    grid = np.linspace(lo, hi, 33)
-    vals = np.array([objective(t) for t in grid])
-    j = int(np.argmin(vals))
-    a = float(grid[max(j - 1, 0)])
-    b = float(grid[min(j + 1, len(grid) - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    if a == b:
-        return float(grid[j])
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-        if b - a < 1e-10 * (1.0 + abs(a)):
+# grid points laid over each gap between sorted samples
+_GAP_POINTS = 32
+# rows x grid points refined at once: bounds the temporaries whatever
+# the number of trials
+_BLOCK_POINTS = 1 << 17
+_MAX_ITER = 60
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _refine_minimum(x: np.ndarray, pad: float, loss, dloss=None) -> np.ndarray:
+    """Row-wise local minimizer of sum_i loss(x_i - theta) over theta.
+
+    A grid of _GAP_POINTS per gap between each row's sorted samples,
+    padded by `pad` at both ends, spans the whole sample hull; its
+    argmin is bracketed by the nearest distinct grid values (duplicate
+    samples leave zero-width gaps) and refined for all rows together:
+    by bisection on the sign of the slope, sum_i dloss(x_i - theta),
+    when dloss is given, else by golden section.  Rows are independent
+    and are refined in blocks of at most _BLOCK_POINTS grid points."""
+    step = max(1, _BLOCK_POINTS // ((x.shape[1] + 1) * _GAP_POINTS + 1))
+    return np.concatenate(
+        [_refine_block(x[i : i + step], pad, loss, dloss) for i in range(0, len(x), step)]
+    )
+
+
+def _refine_block(x: np.ndarray, pad: float, loss, dloss) -> np.ndarray:
+    s = np.sort(x, axis=1)
+    B, n = s.shape
+    knots = np.concatenate([s[:, :1] - pad, s, s[:, -1:] + pad], axis=1)
+    t = np.arange(_GAP_POINTS) / _GAP_POINTS
+    grid = (knots[:, :-1, None] + np.diff(knots, axis=1)[:, :, None] * t).reshape(B, -1)
+    grid = np.concatenate([grid, knots[:, -1:]], axis=1)
+    # one sample column at a time, so temporaries stay (rows, grid)
+    vals = loss(x[:, :1] - grid)
+    for i in range(1, n):
+        vals += loss(x[:, i : i + 1] - grid)
+    best = grid[np.arange(B), np.argmin(vals, axis=1)][:, None]
+    a = np.max(np.where(grid < best, grid, grid[:, :1]), axis=1)
+    b = np.min(np.where(grid > best, grid, grid[:, -1:]), axis=1)
+
+    def at(fn, r, theta):
+        return fn(x[r] - theta[:, None]).sum(axis=1)
+
+    def unconverged():
+        return np.flatnonzero(b - a >= 1e-10 * (1.0 + np.abs(a)))
+
+    if dloss is not None:
+        for _ in range(_MAX_ITER):
+            r = unconverged()
+            if r.size == 0:
+                break
+            mid = (a[r] + b[r]) / 2.0
+            up = at(dloss, r, mid) > 0
+            b[r] = np.where(up, mid, b[r])
+            a[r] = np.where(up, a[r], mid)
+        return (a + b) / 2.0
+
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    rows = np.arange(B)
+    fc, fd = at(loss, rows, c), at(loss, rows, d)
+    for _ in range(_MAX_ITER):
+        r = unconverged()
+        if r.size == 0:
             break
+        # left: the minimum is in [a, d], d takes c's place and c is new;
+        # else it is in [c, b], c takes d's place and d is new
+        left = fc[r] < fd[r]
+        a[r] = np.where(left, a[r], c[r])
+        b[r] = np.where(left, d[r], b[r])
+        kept, fkept = np.where(left, c[r], d[r]), np.where(left, fc[r], fd[r])
+        new = np.where(left, b[r] - _INVPHI * (b[r] - a[r]), a[r] + _INVPHI * (b[r] - a[r]))
+        fnew = at(loss, r, new)
+        c[r], d[r] = np.where(left, new, kept), np.where(left, kept, new)
+        fc[r], fd[r] = np.where(left, fnew, fkept), np.where(left, fkept, fnew)
     return (a + b) / 2.0
 
 
-def myriad_estimate(samples, K: float) -> float:
+def _sample_rows(samples) -> tuple[np.ndarray, bool]:
+    """Samples as a (B, n) float array, and whether they came as one set."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim not in (1, 2) or x.size == 0:
+        raise ValueError("samples must be a nonempty 1-D set or a (B, n) array")
+    return np.atleast_2d(x), x.ndim == 1
+
+
+def _per_set(est: np.ndarray, single: bool):
+    return float(est[0]) if single else est
+
+
+def myriad_estimate(samples, K: float):
     """Sample myriad: argmin over theta of sum ln(K^2 + (x_i - theta)^2).
 
-    Seeded at the sample points (the objective's minima lie near them)
-    and refined locally; deterministic."""
-    s = np.asarray(samples, dtype=float)
-    if s.size == 0:
-        raise ValueError("samples must be nonempty")
+    samples is one set (returns a float) or a (B, n) array of B sets
+    (returns B estimates).  The grid over the whole sample hull finds
+    the best basin; bisection on the closed-form slope
+    sum (theta - x_i) / (K^2 + (x_i - theta)^2) refines it, which stays
+    accurate where the objective itself is flat to roundoff;
+    deterministic."""
+    x, single = _sample_rows(samples)
     if not K > 0:
         raise ValueError("K must be positive")
-    if s.size == 1:
-        return float(s[0])
+    if x.shape[1] == 1:
+        return _per_set(x[:, 0].copy(), single)
+    k2 = K * K
+    est = _refine_minimum(
+        x, K, lambda u: np.log(k2 + u * u), lambda u: -u / (k2 + u * u)
+    )
+    return _per_set(est, single)
 
-    def obj(theta):
-        return float(np.sum(np.log(K**2 + (s - theta) ** 2)))
 
-    seeds = np.unique(s)
-    return float(_refine_minimum(obj, seeds, pad=K))
-
-
-def ml_location_estimate(samples, alpha: float, gamma: float) -> float:
+def ml_location_estimate(samples, alpha: float, gamma: float):
     """Maximum-likelihood location under S(alpha, gamma) noise: argmax of
-    the product likelihood, via the same seed-and-refine optimizer."""
-    s = np.asarray(samples, dtype=float)
-    if s.size == 1:
-        return float(s[0])
-
-    def obj(theta):
-        return -float(np.sum(stable.logpdf_sas(alpha, gamma, s - theta)))
-
-    seeds = np.unique(np.concatenate([s, [np.median(s)]]))
-    return float(_refine_minimum(obj, seeds, pad=gamma))
+    the product likelihood, by the same hull-wide grid and golden-section
+    refinement; one set or a (B, n) array, as for myriad_estimate."""
+    x, single = _sample_rows(samples)
+    if x.shape[1] == 1:
+        return _per_set(x[:, 0].copy(), single)
+    est = _refine_minimum(x, gamma, lambda u: -stable.logpdf_sas(alpha, gamma, u))
+    return _per_set(est, single)
 
 
 @dataclass
@@ -129,15 +183,14 @@ class EstimatorRun:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _estimate(run: EstimatorRun, x: np.ndarray) -> float:
+def _estimate(run: EstimatorRun, x: np.ndarray) -> np.ndarray:
+    """The estimates of every row of x, one sample set per row."""
     if run.estimator == "ml_identity":
-        if run.samples_per_trial == 1:
-            return float(x[0])
         return ml_location_estimate(x, run.noise.alpha, run.noise.gamma)
     if run.estimator == "sample_mean":
-        return float(np.mean(x))
+        return np.mean(x, axis=1)
     if run.estimator == "sample_median":
-        return float(np.median(x))
+        return np.median(x, axis=1)
     if run.estimator == "myriad":
         return myriad_estimate(x, run.K if run.K is not None else run.noise.gamma)
     raise ValueError(f"unknown estimator {run.estimator!r}")
@@ -146,23 +199,23 @@ def _estimate(run: EstimatorRun, x: np.ndarray) -> float:
 def run_estimator(run: EstimatorRun) -> EstimatorRun:
     """Monte Carlo benchmark: per trial, observe theta + noise samples,
     estimate, record the error; then score the error law by its
-    alpha-power and attach the stable-noise CRB.
+    alpha-power.  The stable-noise CRB is attached for one sample per
+    trial; with more it is None, as that bound is for one observation.
 
-    Per-trial RNG streams are keyed by (seed, trial) so serial and
-    parallel execution give identical errors."""
+    The noise of the whole run is one draw,
+    stable.sample_sas(alpha, gamma, (trials, samples_per_trial), seed),
+    trial t being row t, and every estimator works on all rows at once."""
     if run.trials < 1:
         raise ValueError("trials must be >= 1")
     if run.samples_per_trial < 1:
         raise ValueError("samples_per_trial must be >= 1")
     alpha, gamma = run.noise.alpha, run.noise.gamma
-    errors = np.empty(run.trials)
-    for t in range(run.trials):
-        x = run.theta_true + stable.sample_sas(
-            alpha, gamma, run.samples_per_trial, seed=[run.seed, t]
-        )
-        errors[t] = _estimate(run, x) - run.theta_true
+    x = run.theta_true + stable.sample_sas(
+        alpha, gamma, (run.trials, run.samples_per_trial), seed=run.seed
+    )
+    errors = _estimate(run, x) - run.theta_true
     run.errors = errors
     run.error_alpha_power = alpha_power(Empirical(tuple(errors)), alpha).value
-    run.crb = crb_stable(alpha, gamma)
+    run.crb = crb_stable(alpha, gamma) if run.samples_per_trial == 1 else None
     run.diagnostics["trials"] = run.trials
     return run

@@ -258,9 +258,13 @@ def logpdf_sas(alpha: float, gamma: float, x):
     return sas_density(alpha, gamma).logpdf(x)
 
 
-def sample_sas(alpha: float, gamma: float, n: int, seed) -> np.ndarray:
-    """n i.i.d. draws from S(alpha, gamma), Chambers-Mallows-Stuck."""
-    if n < 1:
+def sample_sas(alpha: float, gamma: float, n, seed) -> np.ndarray:
+    """I.i.d. draws from S(alpha, gamma), Chambers-Mallows-Stuck.
+
+    n is a count or an array shape.  One default_rng(seed) draws every
+    uniform first, then every exponential, both in C order, so a shape
+    (T, m) gives the draws of T*m reshaped, bit for bit."""
+    if np.any(np.asarray(n) < 1):
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)

@@ -288,6 +288,17 @@ class TestCrbBench:
         assert header == ["error"]
         assert len(rows) == 50
 
+    def test_n_sample_run_has_no_bound(self, capsys):
+        # the CRB is for one observation: with n > 1 it is not attached,
+        # so no violation can be reported against it
+        code, out, _ = run_cli(
+            capsys, "crb-bench", "--estimator", "sample_median", "--n", "10", "--seed", "0"
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["crb"] is None and doc["ratio"] is None
+        assert doc["error_alpha_power"] > 0
+
 
 class TestSuite:
     def test_runs_clean(self, capsys):

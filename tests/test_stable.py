@@ -190,6 +190,13 @@ class TestSampling:
         b = sample_sas(1.5, 1.0, 1000, seed=42)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    def test_shape_is_reshaped_count(self, alpha):
+        a = sample_sas(alpha, 0.7, (40, 7), seed=5)
+        b = sample_sas(alpha, 0.7, 40 * 7, seed=5)
+        assert a.shape == (40, 7)
+        assert np.array_equal(a, b.reshape(40, 7))
+
     def test_gaussian_variance(self):
         s = sample_sas(2.0, 1.0, 200_000, seed=1)
         # S(2, 1) has variance 2
