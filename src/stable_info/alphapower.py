@@ -21,10 +21,10 @@ from scipy.optimize import brentq
 from . import density as dens
 from . import stable
 from .density import Cauchy, Empirical, RandomLaw, SaS, Scaled, Sum
-from .gridded import GriddedDensity
 
 __all__ = ["AlphaPowerResult", "g_of_P", "alpha_power"]
 
+# relative tolerance on P, solved as an absolute one on ln P
 ROOT_RTOL = 1e-9
 BRACKET_SPAN = 50.0
 
@@ -42,46 +42,68 @@ class AlphaPowerResult:
         return math.isfinite(self.value)
 
 
-def _g_from_density(f: GriddedDensity, alpha: float, P: float) -> float:
-    """g(P) for a realized density, with an analytic correction for the
-    mass beyond the grid (the reference log-density is asymptotically
-    -ln c1 + (1+alpha) ln|x| there)."""
-    gam_ref = stable.reference_gamma(alpha)
+@dataclass(frozen=True)
+class _GRule:
+    """g(P) = -sum_i w_i ln p_ref(y_i / P) + c0 - c1 ln P for one (law,
+    alpha), so each evaluation is one reference log-density call.
+
+    c0 - c1 ln P is the analytic correction for the mass beyond the grid
+    (the reference log-density is asymptotically -ln c1_ref +
+    (1 + alpha) ln|x| there)."""
+
+    alpha: float
+    y: np.ndarray
+    w: np.ndarray
+    c0: float = 0.0
+    c1: float = 0.0
+
+    def __call__(self, P: float) -> float:
+        gam_ref = stable.reference_gamma(self.alpha)
+        core = -float(self.w @ stable.logpdf_sas(self.alpha, gam_ref, self.y / P))
+        return core + self.c0 - self.c1 * math.log(P)
+
+
+def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
+    """The quadrature rule of g for a law.
+
+    p_ref is even, so x and -x share the node |x| (for any law, even or
+    not): on a realized density the weights are the trapezoid weights
+    over the accurate region folded onto |x|, for samples every weight
+    is 1/N.  Zero-weight nodes are dropped, which is exact because
+    logpdf is floor-clamped and finite.  The nodes ascend, so the
+    spline's interval search walks forward from one node to the next."""
+    if isinstance(law, Empirical):
+        s = law.as_array()
+        return _GRule(alpha, np.sort(np.abs(s)), np.full(s.size, 1.0 / s.size))
+    f = dens.realize(law)
     r = f.accurate_radius
-    x = f.x
-    sel = np.abs(x) <= r
-    core = float(
-        np.trapezoid(
-            f.values[sel] * (-stable.logpdf_sas(alpha, gam_ref, x[sel] / P)),
-            dx=f.h,
-        )
-    )
+    # the grid is symmetric: x[n // 2 + k] = k h
+    idx = np.flatnonzero(np.abs(f.x) <= r)
+    w = f.values[idx] * f.h
+    w[0] /= 2.0
+    w[-1] /= 2.0
+    w = np.bincount(np.abs(idx - f.n // 2), weights=w)
+    keep = np.flatnonzero(w > 0)
+    y, w = f.h * keep, w[keep]
     if f.tail is None or alpha == 2:
-        return core
+        return _GRule(alpha, y, w)
     m_side = (1.0 - f.mass_within(r)) / 2.0
     if m_side <= 0:
-        return core
+        return _GRule(alpha, y, w)
     a = f.tail.exponent
     c_eff = m_side * a * r**a
-    c1_ref = stable._series_coeffs(alpha, gam_ref, 1)[0]
+    c1_ref = stable._series_coeffs(alpha, stable.reference_gamma(alpha), 1)[0]
     ra = r ** (-a)
-    t1 = (-math.log(c1_ref) - (1.0 + alpha) * math.log(P)) * ra / a
-    t2 = (1.0 + alpha) * (ra * math.log(r) / a + ra / a**2)
-    return core + 2.0 * c_eff * (t1 + t2)
-
-
-def _g_from_samples(s: np.ndarray, alpha: float, P: float) -> float:
-    gam_ref = stable.reference_gamma(alpha)
-    return float(np.mean(-stable.logpdf_sas(alpha, gam_ref, s / P)))
+    c0 = -math.log(c1_ref) * ra / a + (1.0 + alpha) * (ra * math.log(r) / a + ra / a**2)
+    c1 = (1.0 + alpha) * ra / a
+    return _GRule(alpha, y, w, 2.0 * c_eff * c0, 2.0 * c_eff * c1)
 
 
 def g_of_P(law: RandomLaw, alpha: float, P: float) -> float:
     """-E[ln p_ref(X/P)] for the reference law of the given alpha."""
     if not P > 0:
         raise ValueError("P must be positive")
-    if isinstance(law, Empirical):
-        return _g_from_samples(law.as_array(), alpha, P)
-    return _g_from_density(dens.realize(law), alpha, P)
+    return _g_rule(law, alpha)(P)
 
 
 def _matching_stable_scale(law: RandomLaw, alpha: float) -> float | None:
@@ -147,35 +169,35 @@ def alpha_power(law: RandomLaw, alpha: float) -> AlphaPowerResult:
         )
 
     h_ref = stable.reference_entropy(alpha)
-    if isinstance(law, Empirical):
-        s = law.as_array()
-        g = lambda P: _g_from_samples(s, alpha, P)
-    else:
-        f = dens.realize(law)
-        g = lambda P: _g_from_density(f, alpha, P)
+    g = _g_rule(law, alpha)
+    seen = {}
 
+    def excess(t):
+        # g(e^t) - h(ref), each point evaluated once
+        if t not in seen:
+            seen[t] = g(math.exp(t)) - h_ref
+        return seen[t]
+
+    # solve in t = ln P: an absolute xtol on t is a relative one on P
     scale = law.scale_hint()
-    lo, hi = scale / BRACKET_SPAN, scale * BRACKET_SPAN
-    f_lo, f_hi = g(lo) - h_ref, g(hi) - h_ref
+    lo, hi = math.log(scale / BRACKET_SPAN), math.log(scale * BRACKET_SPAN)
+    step = math.log(8.0)
     # g decreases in P, so widen downward while g(lo) < h and upward
     # while g(hi) > h
     for _ in range(60):
-        if f_lo > 0:
+        if excess(lo) > 0:
             break
-        hi, f_hi = lo, f_lo
-        lo /= 8.0
-        f_lo = g(lo) - h_ref
+        hi = lo
+        lo -= step
     for _ in range(60):
-        if f_hi < 0:
+        if excess(hi) < 0:
             break
-        lo, f_lo = hi, f_hi
-        hi *= 8.0
-        f_hi = g(hi) - h_ref
-    if not (f_lo > 0 > f_hi):
+        lo = hi
+        hi += step
+    if not (excess(lo) > 0 > excess(hi)):
         raise ArithmeticError(
             f"could not bracket the alpha-power root (alpha={alpha}, law={law})"
         )
-    P = brentq(lambda p: g(p) - h_ref, lo, hi, rtol=ROOT_RTOL)
-    return AlphaPowerResult(
-        float(P), alpha, "numeric_root", abs(g(P) - h_ref), (lo, hi)
-    )
+    t = brentq(excess, lo, hi, xtol=ROOT_RTOL)
+    bracket = (math.exp(lo), math.exp(hi))
+    return AlphaPowerResult(math.exp(t), alpha, "numeric_root", abs(excess(t)), bracket)

@@ -49,8 +49,6 @@ EXIT_NUMERIC = 3
 class RunConfig:
     n_points: int = 2**16
     extent_factor: float = 200.0
-    root_tol: float = 1e-6
-    entropy_tol: float = 1e-5
     slack_tol: float = 1e-3
     seed: int = 12345
     format: str = "csv"
@@ -61,9 +59,8 @@ class RunConfig:
             raise ValueError("n_points must be a power of two >= 4096")
         if self.extent_factor < 50:
             raise ValueError("extent_factor must be >= 50")
-        for name in ("root_tol", "entropy_tol", "slack_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.slack_tol > 0:
+            raise ValueError("slack_tol must be positive")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 
@@ -71,8 +68,6 @@ class RunConfig:
 _CONFIG_TYPES = {
     "n_points": int,
     "extent_factor": float,
-    "root_tol": float,
-    "entropy_tol": float,
     "slack_tol": float,
     "seed": int,
     "format": str,
@@ -181,6 +176,11 @@ DEFAULT_POWER_LAWS = [
 
 
 def cmd_power_table(args, cfg: RunConfig) -> int:
+    # alpha_power realizes each law on its own grid
+    grid_flags = {"--n-points": args.n_points, "--extent-factor": args.extent_factor}
+    for flag, val in grid_flags.items():
+        if val is not None:
+            raise ValueError(f"power-table does not use {flag}")
     alphas = (
         [float(a) for a in args.alphas.split(",")] if args.alphas else DEFAULT_POWER_ALPHAS
     )

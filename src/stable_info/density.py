@@ -340,7 +340,9 @@ class Empirical(RandomLaw):
     def __post_init__(self):
         if len(self.samples) == 0:
             raise ValueError("empirical law needs at least one sample")
-        object.__setattr__(self, "samples", tuple(float(s) for s in self.samples))
+        object.__setattr__(
+            self, "samples", tuple(np.asarray(self.samples, dtype=float).tolist())
+        )
 
     def as_array(self):
         return np.asarray(self.samples, dtype=float)

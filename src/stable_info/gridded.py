@@ -67,10 +67,11 @@ class TailLaw:
             raise ValueError("tail coefficient must be positive")
 
     def pdf(self, x):
-        ax = np.abs(x)
-        out = self.coefficient * ax ** (-(1.0 + self.exponent))
+        # one log per point; each term is exp(-(1 + e_k) ln|x|)
+        lx = np.log(np.abs(x))
+        out = self.coefficient * np.exp(-(1.0 + self.exponent) * lx)
         for ek, ck in self.extra:
-            out = out + ck * ax ** (-(1.0 + ek))
+            out = out + ck * np.exp(-(1.0 + ek) * lx)
         return out
 
     def mass_beyond(self, r: float) -> float:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stable_info import stable
 from stable_info.alphapower import alpha_power, g_of_P
+from stable_info.cli import DEFAULT_POWER_ALPHAS, DEFAULT_POWER_LAWS
 from stable_info.density import (
     Cauchy,
     Empirical,
@@ -13,8 +15,10 @@ from stable_info.density import (
     Laplace,
     SaS,
     Scaled,
+    Shifted,
     Sum,
     Uniform,
+    realize,
 )
 from stable_info.stable import reference_entropy, sample_sas
 
@@ -108,6 +112,75 @@ class TestGOfP:
     def test_rejects_nonpositive_p(self):
         with pytest.raises(ValueError):
             g_of_P(Gaussian(1.0), 1.5, 0.0)
+
+
+def unfolded_g(f, alpha, P):
+    """g(P) by the trapezoid rule over the whole accurate region of a
+    realized density, every node in place, plus the tail correction."""
+    gam_ref = stable.reference_gamma(alpha)
+    r = f.accurate_radius
+    sel = np.abs(f.x) <= r
+    core = float(
+        np.trapezoid(
+            f.values[sel] * (-stable.logpdf_sas(alpha, gam_ref, f.x[sel] / P)),
+            dx=f.h,
+        )
+    )
+    m_side = (1.0 - f.mass_within(r)) / 2.0
+    if f.tail is None or m_side <= 0:
+        return core
+    a = f.tail.exponent
+    c_eff = m_side * a * r**a
+    c1_ref = stable._series_coeffs(alpha, gam_ref, 1)[0]
+    ra = r ** (-a)
+    t1 = (-math.log(c1_ref) - (1.0 + alpha) * math.log(P)) * ra / a
+    t2 = (1.0 + alpha) * (ra * math.log(r) / a + ra / a**2)
+    return core + 2.0 * c_eff * (t1 + t2)
+
+
+class TestFoldedRule:
+    @pytest.mark.parametrize(
+        "law",
+        [Shifted(Laplace(1.0), 0.7), Sum(Laplace(1.0), SaS(1.2, 0.5))],
+        ids=["shifted-laplace", "laplace+sas"],
+    )
+    def test_matches_unfolded_trapezoid(self, law):
+        f = realize(law)
+        for alpha in (0.6, 1.2, 1.7):
+            for P in (0.1, 1.0, 7.0):
+                assert g_of_P(law, alpha, P) == pytest.approx(
+                    unfolded_g(f, alpha, P), rel=1e-12
+                )
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            Laplace(1.0),
+            Sum(Laplace(1.0), SaS(1.2, 0.5)),
+            Empirical(tuple(sample_sas(1.4, 1.0, 2000, seed=4))),
+        ],
+        ids=["laplace", "laplace+sas", "empirical"],
+    )
+    def test_residual_is_g_at_the_root(self, law):
+        alpha = 1.4
+        r = alpha_power(law, alpha)
+        assert r.method == "numeric_root"
+        assert r.residual == abs(g_of_P(law, alpha, r.value) - reference_entropy(alpha))
+
+    def test_power_table_g_evaluations(self, monkeypatch):
+        calls = []
+        logpdf = stable.logpdf_sas
+
+        def counted(*args):
+            calls.append(1)
+            return logpdf(*args)
+
+        monkeypatch.setattr(stable, "logpdf_sas", counted)
+        for alpha in DEFAULT_POWER_ALPHAS:
+            for law in DEFAULT_POWER_LAWS:
+                alpha_power(law, alpha)
+        assert len(DEFAULT_POWER_ALPHAS) * len(DEFAULT_POWER_LAWS) == 40
+        assert len(calls) <= 520
 
 
 class TestEmpiricalRoute:

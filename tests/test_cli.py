@@ -74,6 +74,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(str(p))
 
+    def test_removed_tolerance_keys_rejected(self, capsys, tmp_path):
+        for key in ("root_tol", "entropy_tol"):
+            p = tmp_path / "cfg"
+            p.write_text(f"{key} = 1e-6\n")
+            code, _, err = run_cli(capsys, "--config", str(p), "--show-config")
+            assert code == EXIT_CONFIG
+            assert f"unknown config key: {key!r}" in err
+
     def test_validation_rules(self):
         with pytest.raises(ValueError):
             RunConfig(n_points=1000).validate()
@@ -148,6 +156,15 @@ class TestPowerTable:
         doc = json.loads(path.read_text())
         assert doc[0]["law"] == "cauchy:1"
         assert float(doc[0]["alpha_power"]) > 0
+
+    @pytest.mark.parametrize("flag,value", [("--n-points", "4096"), ("--extent-factor", "50")])
+    def test_grid_flags_rejected(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, flag, value, "power-table", "--alphas", "1.2", "--laws", "laplace:1"
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"configuration error: power-table does not use {flag}" in err
 
 
 class TestJalphaTable:

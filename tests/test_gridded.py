@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from stable_info.gridded import GriddedDensity, GridSpec, TailLaw
+from stable_info.stable import _tail_law
 
 
 def gaussian_grid(sigma=1.0, n=2**14, L=12.0):
@@ -43,6 +44,20 @@ class TestTailLaw:
         assert t.pdf(x) == pytest.approx(0.5 * x**-2 - 0.1 * x**-3, rel=1e-13)
         mass, _ = quad(lambda u: t.pdf(u), 7.0, np.inf)
         assert t.mass_beyond(7.0) == pytest.approx(2.0 * mass, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "tail",
+        [_tail_law(a, 1.0) for a in (0.4, 1.2, 1.8)]
+        + [TailLaw(exponent=1.0, coefficient=0.5, extra=((2.0, -0.1),))],
+        ids=["stable-0.4", "stable-1.2", "stable-1.8", "extra"],
+    )
+    def test_pdf_matches_power_form(self, tail):
+        xs = np.geomspace(10.0, 1e8, 500)
+        x = np.concatenate([-xs, xs])
+        direct = tail.coefficient * np.abs(x) ** (-(1.0 + tail.exponent))
+        for ek, ck in tail.extra:
+            direct = direct + ck * np.abs(x) ** (-(1.0 + ek))
+        np.testing.assert_allclose(tail.pdf(x), direct, rtol=1e-14, atol=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
