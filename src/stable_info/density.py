@@ -424,10 +424,12 @@ def convolve(f: GriddedDensity, g: GriddedDensity) -> GriddedDensity:
     """Linear convolution of two symmetric-grid densities via FFT with
     zero padding.
 
-    The zero-padded product grid is exact (no wrap-around), but beyond
-    the input extents the result is dominated by what the truncated
-    inputs are missing, so the output is cropped back to the larger of
-    the two input extents; the combined tail law stands in outside."""
+    Both inputs are padded to the power of two at or above
+    f.n + g.n - 1, the length of their linear convolution, so nothing
+    wraps around.  Beyond the input extents the result is dominated by
+    what the truncated inputs are missing, so the output is cropped
+    back to the larger of the two input extents; the combined tail law
+    stands in outside."""
     if not math.isclose(f.h, g.h, rel_tol=1e-12):
         target = GridSpec(
             n=max(f.n, g.n), half_extent=max(f.half_extent, g.half_extent)
@@ -435,8 +437,7 @@ def convolve(f: GriddedDensity, g: GriddedDensity) -> GriddedDensity:
         f = f.resample(target)
         g = g.resample(target)
     h = f.h
-    L_full = f.half_extent + g.half_extent
-    n_out = 1 << math.ceil(math.log2(2.0 * L_full / h + 2))
+    n_out = 1 << math.ceil(math.log2(f.n + g.n - 1))
 
     def embed(d: GriddedDensity) -> np.ndarray:
         buf = np.zeros(n_out)

@@ -42,6 +42,7 @@ __all__ = [
 SPECTRAL_EXTENT_FACTOR = 400.0
 DEFAULT_T_FACTORS = (0.2, 0.1, 0.05, 0.025)
 SMOOTHING_ETA = 1e-3
+MAX_SPECTRAL_N = 2**22
 
 _FLOOR = 1e-300
 
@@ -67,20 +68,23 @@ def jalpha_closed_stable(alpha: float, gamma: float, d: int = 1) -> float:
 def jalpha_spectral(f: GriddedDensity, alpha: float) -> JAlphaEstimate:
     """Spectral route: J_alpha = int ln p(x) F^-1[|w|^alpha phi(-w)](x) dx.
 
-    phi is recovered from the grid by FFT (real for symmetric laws); the
-    ln p factor uses the clamped grid log-density.  Integration runs
-    over the grid-accurate region; the truncated tail contribution is
-    small when the grid extent is generous.
+    phi is recovered from the grid by a real FFT (rfft), complex for
+    laws that are not symmetric about 0, and |w|^alpha phi is inverted
+    on the half spectrum by irfft; the product is the fractional
+    Laplacian of p for any law.  The ln p factor uses the clamped grid
+    log-density.  Integration runs over the grid-accurate region; the
+    truncated tail contribution is small when the grid extent is
+    generous.
     """
     if not 0 < alpha <= 2:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
     n = f.n
     h = f.h
-    w = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
-    phi = np.fft.fft(np.fft.ifftshift(f.values)).real * h
-    m = np.abs(w) ** alpha * phi
+    w = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
+    phi = np.fft.rfft(np.fft.ifftshift(f.values)) * h
+    m = w**alpha * phi
     # integrability guard: |w|^alpha phi must have died out by the edge
-    edge = np.abs(w) >= 0.98 * np.max(np.abs(w))
+    edge = w >= 0.98 * w[-1]
     edge_mag = float(np.max(np.abs(m[edge])))
     peak = float(np.max(np.abs(m)))
     if peak > 0 and edge_mag > 1e-6 * peak:
@@ -89,7 +93,7 @@ def jalpha_spectral(f: GriddedDensity, alpha: float) -> JAlphaEstimate:
             "the law is too rough for the spectral route -- smooth it first "
             "or use the finite-difference evaluator"
         )
-    r_fun = np.fft.fftshift(np.fft.ifft(m).real) / h
+    r_fun = np.fft.fftshift(np.fft.irfft(m, n)) / h
     lp = np.log(np.clip(f.values, _FLOOR, None))
     R = f.accurate_radius
     sel = np.abs(f.x) <= R
@@ -105,7 +109,7 @@ def jalpha_spectral(f: GriddedDensity, alpha: float) -> JAlphaEstimate:
         "spectral",
         diagnostics={
             "grid_size": n,
-            "spectral_cutoff": float(np.max(np.abs(w))),
+            "spectral_cutoff": float(w[-1]),
             "tail_mass": tail_mass,
             "edge_magnitude": edge_mag,
         },
@@ -151,15 +155,24 @@ def spectral_realization(
     it on a wide grid.  The smoothing scale is chosen so the smoothed
     characteristic function has decayed below ~1e-13 at the grid's
     Nyquist frequency; weaker smoothing leaves ringing in the inverted
-    integrand.  Returns the (possibly smoothed) law and its density."""
+    integrand.  Returns the (possibly smoothed) law and its density.
+
+    Heavy-tailed stable laws have slowly decaying spectra (stretched
+    exponential with small exponent), so for them n is first raised,
+    up to MAX_SPECTRAL_N, until the grid reaches the frequency where
+    the spectral integrand has died out."""
+    if isinstance(law, SaS) and law.alpha < 2:
+        # |w|^alpha exp(-(gamma w)^r) needs w_max ~ 36^(1/r)/gamma
+        w_req = 36.0 ** (1.0 / law.alpha) / law.gamma
+        n_req = 2 ** math.ceil(
+            math.log2(max(2.0 * extent_factor * law.gamma * w_req / math.pi, 2.0))
+        )
+        n = max(n, min(n_req, MAX_SPECTRAL_N))
     w_max = math.pi * n / (2.0 * extent_factor * law.scale_hint())
     gamma_min = 30.0 ** (1.0 / alpha) / w_max
     law = smooth_for_spectral(law, alpha, gamma_min=gamma_min)
     grid = dens.auto_grid(law, n=n, extent_factor=extent_factor)
     return law, dens.realize(law, grid)
-
-
-MAX_SPECTRAL_N = 2**22
 
 
 def jalpha_of_law(
@@ -170,24 +183,16 @@ def jalpha_of_law(
 ) -> JAlphaEstimate:
     """Spectral J_alpha of a law, pre-smoothing it when necessary.
 
-    Heavy-tailed stable laws have slowly decaying spectra (stretched
-    exponential with small exponent), so the grid size is raised until
-    the spectral integrand has died out by the frequency cutoff."""
-    if isinstance(law, SaS) and law.alpha < 2:
-        # |w|^alpha exp(-(gamma w)^r) needs w_max ~ 36^(1/r)/gamma
-        w_req = 36.0 ** (1.0 / law.alpha) / law.gamma
-        n_req = 2 ** math.ceil(
-            math.log2(max(2.0 * extent_factor * law.gamma * w_req / math.pi, 2.0))
-        )
-        n = max(n, min(n_req, MAX_SPECTRAL_N))
+    The grid size is doubled, up to MAX_SPECTRAL_N, until the spectral
+    integrand has died out by the frequency cutoff."""
     while True:
         _, f = spectral_realization(law, alpha, n, extent_factor)
         try:
             return jalpha_spectral(f, alpha)
         except ArithmeticError:
-            if n >= MAX_SPECTRAL_N:
+            if f.n >= MAX_SPECTRAL_N:
                 raise
-            n *= 2
+            n = 2 * f.n
 
 
 def jalpha_finite_diff(

@@ -1,17 +1,20 @@
 """Univariate symmetric alpha-stable engine.
 
 Densities come from Fourier inversion of the characteristic function on
-a uniform grid.  The FFT returns the periodized density: on [-L, L) it
-holds p(x) plus every wrap-around image p(x + 2Lm), m != 0.  For
+a uniform grid.  The characteristic function is real and even, so one
+real inverse FFT (irfft) of its values at the non-negative frequencies
+does the inversion.  The FFT returns the periodized density: on [-L, L)
+it holds p(x) plus every wrap-around image p(x + 2Lm), m != 0.  For
 alpha < 2 the images are described by the asymptotic tail series
 sum_k c_k |x|^(-s_k), and the sum of each term over all images has a
 closed form in the Hurwitz zeta function,
 
     sum_{m>=1} |x +- 2Lm|^(-s) = (2L)^(-s) zeta(s, 1 +- x/2L),
 
-which is subtracted exactly.  After that the grid is accurate to
-roughly 1e-8 pointwise and the same series describes the law beyond
-the grid.
+which is subtracted exactly.  The image sum is even in x, so it is
+evaluated on one half of the grid and mirrored.  After that the grid is
+accurate to roughly 1e-8 pointwise and the same series describes the
+law beyond the grid.
 """
 
 from __future__ import annotations
@@ -159,7 +162,11 @@ def _alias_images(x, alpha: float, gamma: float, L: float) -> np.ndarray:
     """Tail series summed over every wrap-around image x +- 2Lm, m >= 1,
     at points x in [-L, L]: sum_k c_k (2L)^(-s_k) [zeta(s_k, 1 + u) +
     zeta(s_k, 1 - u)] with s_k = k alpha + 1 and u = x/2L, evaluated at
-    the Chebyshev nodes only and interpolated from there."""
+    the Chebyshev nodes only and interpolated from there.
+
+    The sum is even, so only the even coefficients of its interpolant
+    are kept, and T_2k(t) = T_k(2t^2 - 1) turns them into a series of
+    half the degree in 2(x/L)^2 - 1."""
     c = _series_coeffs(alpha, gamma)
     s = np.arange(1, _TAIL_TERMS + 1) * alpha + 1.0
     weights = c * (2.0 * L) ** (-s)
@@ -168,7 +175,8 @@ def _alias_images(x, alpha: float, gamma: float, L: float) -> np.ndarray:
         u = t[:, None] / 2.0
         return (zeta(s, 1.0 + u) + zeta(s, 1.0 - u)) @ weights
 
-    return Chebyshev.interpolate(image_sum, _ALIAS_DEGREE)(x / L)
+    even = Chebyshev(Chebyshev.interpolate(image_sum, _ALIAS_DEGREE).coef[::2])
+    return even(2.0 * (x / L) ** 2 - 1.0)
 
 
 def _tail_law(alpha: float, gamma: float) -> TailLaw:
@@ -191,10 +199,20 @@ def pdf_grid_sas(alpha: float, gamma: float, grid: GridSpec) -> GriddedDensity:
     """Symmetric stable density on a grid by FFT inversion of the
     characteristic function.
 
+    The characteristic function is sampled at the non-negative
+    frequencies and inverted by one size-n irfft.  When the grid spacing
+    leaves characteristic-function mass beyond the Nyquist frequency,
+    the spectrum is sampled on a grid `stride` times finer and folded
+    onto the n requested frequencies (the fine spectrum summed over
+    frequencies that differ by multiples of n/h); this is exact, since
+    keeping every stride-th point of the fine inversion is the same
+    aliasing.
+
     For alpha < 2 the wrap-around images the FFT folds onto the grid are
     removed exactly: each term of the tail series, summed over all
     images, is a pair of Hurwitz zeta values (see the module docstring),
-    interpolated across the grid from 33 Chebyshev nodes."""
+    interpolated from 33 Chebyshev nodes and evaluated on the half grid
+    x <= 0, which the evenness of the sum mirrors onto x > 0."""
     if not 0 < alpha <= 2:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
     if not gamma > 0:
@@ -213,9 +231,9 @@ def pdf_grid_sas(alpha: float, gamma: float, grid: GridSpec) -> GriddedDensity:
         var = 2.0 * gamma**2
         p = np.exp(-(x**2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
         return GriddedDensity(float(x[0]), h, p, None).normalize()
-    # refine the inversion grid (same extent, more points) until the
+    # refine the spectrum (same extent, more points) until the
     # characteristic function has decayed below ~2e-12 at the Nyquist
-    # edge; the requested points are an exact subset of the fine grid
+    # edge of the fine grid
     stride = 1
     while (gamma * math.pi / (h / stride)) ** alpha < 27.0:
         stride *= 2
@@ -225,12 +243,17 @@ def pdf_grid_sas(alpha: float, gamma: float, grid: GridSpec) -> GriddedDensity:
                 f"{h:g} leaves characteristic-function mass beyond the Nyquist "
                 "frequency even after refinement; increase n or reduce the extent"
             )
-    n_fine = grid.n * stride
-    h_fine = h / stride
-    w = 2.0 * math.pi * np.fft.fftfreq(n_fine, d=h_fine)
-    phi = np.exp(-(gamma**alpha) * np.abs(w) ** alpha)
-    p = np.fft.fftshift(np.fft.ifft(phi).real)[::stride] / h_fine
-    p -= _alias_images(x, alpha, gamma, grid.half_extent)
+    n = grid.n
+    w = 2.0 * math.pi * np.fft.rfftfreq(n * stride, d=h / stride)
+    phi = np.exp(-(gamma**alpha) * w**alpha)
+    if stride > 1:
+        # the full spectrum in fftfreq order (phi is even), folded
+        full = np.concatenate([phi, phi[-2:0:-1]])
+        phi = full.reshape(stride, n).sum(axis=0)[: n // 2 + 1]
+    p = np.fft.fftshift(np.fft.irfft(phi, n)) / h
+    # x[: n//2 + 1] runs from -L to 0 and holds every |x| of the grid
+    images = _alias_images(x[: n // 2 + 1], alpha, gamma, grid.half_extent)
+    p -= np.concatenate([images, images[-2:0:-1]])
     out = GriddedDensity(float(x[0]), h, np.clip(p, 0.0, None), _tail_law(alpha, gamma))
     return out.normalize()
 

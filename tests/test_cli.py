@@ -189,6 +189,13 @@ class TestBoundCommands:
         k18 = kappa_alpha(1.8)
         assert all(float(r[2]) >= k18 - 1e-3 for r in rows)
 
+    def test_giie_table_heavy_law(self, capsys):
+        # S(0.4, .) needs a grid of 2^21 points for its spectrum to die out
+        code, out, _ = run_cli(capsys, "giie-table", "--alphas", "1.2", "--rs", "0.4")
+        assert code == EXIT_OK
+        _, rows = read_csv(out)
+        assert float(rows[0][2]) >= kappa_alpha(1.2)
+
     def test_giie_mix_small_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "giie-mix", "--sigmas", "0,2.5")
         assert code == EXIT_OK

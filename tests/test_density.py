@@ -15,12 +15,33 @@ from stable_info.density import (
     Shifted,
     Sum,
     Uniform,
+    _combine_tails,
     auto_grid,
     convolve,
     log_moment,
     realize,
 )
-from stable_info.gridded import GridSpec
+from stable_info.gridded import GriddedDensity, GridSpec
+
+
+def padded_convolution(f, g):
+    """convolve padded to 2 (L_f + L_g)/h + 2 points rounded up to a
+    power of two: 4n for two n-point grids, twice the linear length."""
+    h = f.h
+    n_out = 1 << math.ceil(math.log2(2.0 * (f.half_extent + g.half_extent) / h + 2))
+
+    def spectrum(d):
+        buf = np.zeros(n_out)
+        i0 = n_out // 2 - d.n // 2
+        buf[i0 : i0 + d.n] = d.values
+        return np.fft.rfft(np.fft.ifftshift(buf))
+
+    conv = np.fft.fftshift(np.fft.irfft(spectrum(f) * spectrum(g), n=n_out)) * h
+    n_keep = max(f.n, g.n)
+    i0 = n_out // 2 - n_keep // 2
+    vals = np.clip(conv[i0 : i0 + n_keep], 0.0, None)
+    tail = _combine_tails(f.tail, g.tail)
+    return GriddedDensity(-(n_keep // 2) * h, h, vals, tail).normalize()
 
 
 class TestClosedFormRealizations:
@@ -104,6 +125,21 @@ class TestConvolve:
         a = convolve(f1, f2)
         b = convolve(f2, f1)
         assert np.allclose(a.values, b.values, rtol=1e-10, atol=1e-14)
+
+    def test_matches_4n_padding(self):
+        g = GridSpec(n=2**12, half_extent=30.0)
+        f1 = realize(Laplace(1.0), g)
+        f2 = realize(SaS(1.5, 0.7), g)
+        new = convolve(f1, f2)
+        old = padded_convolution(f1, f2)
+        assert np.max(np.abs(new.values - old.values)) <= 1e-15 * np.max(old.values)
+
+    def test_gaussian_closed_form(self):
+        # N(0, 1) * N(0, 1) = N(0, 2)
+        g = GridSpec(n=2**12, half_extent=40.0)
+        out = convolve(realize(Gaussian(1.0), g), realize(Gaussian(1.0), g))
+        exact = np.exp(-(out.x**2) / 4.0) / math.sqrt(4.0 * math.pi)
+        assert np.max(np.abs(out.values - exact)) <= 1e-15
 
     def test_mass_preserved(self):
         g = GridSpec(n=2**12, half_extent=40.0)

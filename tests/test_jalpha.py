@@ -1,8 +1,20 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stable_info.density import Gaussian, Laplace, SaS, Scaled, Sum, Uniform, realize
+from stable_info.density import (
+    Gaussian,
+    Laplace,
+    SaS,
+    Scaled,
+    Shifted,
+    Sum,
+    Uniform,
+    realize,
+)
 from stable_info.jalpha import (
     SPECTRAL_EXTENT_FACTOR,
     debruijn_check,
@@ -62,6 +74,36 @@ class TestSpectral:
         j1 = jalpha_of_law(Laplace(1.0), a).value
         j2 = jalpha_of_law(Scaled(Laplace(1.0), c), a).value
         assert j2 == pytest.approx(j1 / c**a, rel=0.01)
+
+    def test_matches_complex_fft_route(self):
+        # a symmetric law, where the real part of the full complex FFT
+        # is the whole spectrum
+        _, f = spectral_realization(SaS(1.5, 1.0), 1.5)
+        w = 2.0 * math.pi * np.fft.fftfreq(f.n, d=f.h)
+        phi = np.fft.fft(np.fft.ifftshift(f.values)).real * f.h
+        r_fun = np.fft.fftshift(np.fft.ifft(np.abs(w) ** 1.5 * phi).real) / f.h
+        lp = np.log(np.clip(f.values, 1e-300, None))
+        sel = np.abs(f.x) <= f.accurate_radius
+        old = float(np.trapezoid(lp[sel] * r_fun[sel], dx=f.h))
+        assert jalpha_spectral(f, 1.5).value == pytest.approx(old, rel=1e-13)
+
+    @given(
+        st.sampled_from(
+            [
+                (SaS(1.5, 1.0), 1.5),
+                (Laplace(1.0), 1.8),
+                # J_alpha of a Gaussian is finite only at alpha = 2
+                (Gaussian(1.0), 2.0),
+                (Sum(Laplace(1.0), SaS(1.2, 0.5)), 1.2),
+            ]
+        ),
+        st.floats(min_value=-3.0, max_value=3.0),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_shift_invariance(self, case, delta):
+        law, alpha = case
+        j0 = jalpha_of_law(law, alpha).value
+        assert jalpha_of_law(Shifted(law, delta), alpha).value == pytest.approx(j0, rel=1e-5)
 
     def test_diagnostics_present(self):
         j = jalpha_of_law(SaS(1.5, 1.0), 1.5)

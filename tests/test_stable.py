@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
 from scipy.special import zeta
 from scipy.stats import kstest
 
-from stable_info.gridded import GridSpec
+from stable_info.gridded import GriddedDensity, GridSpec
 from stable_info.specfun import gamma_fn
 from stable_info.stable import (
+    _ALIAS_DEGREE,
     _TAIL_TERMS,
     ReferenceStable,
     StableParams,
     _alias_images,
     _series_coeffs,
+    _tail_law,
     cf_sas,
     default_grid,
     logpdf_sas,
@@ -27,6 +30,37 @@ from stable_info.stable import (
 
 def cauchy_pdf(x, gamma):
     return gamma / (math.pi * (x**2 + gamma**2))
+
+
+def full_alias_interpolant(x, alpha, gamma, L):
+    """The image sum's degree-32 interpolant with every coefficient,
+    odd ones included, evaluated at x/L."""
+    s = np.arange(1, _TAIL_TERMS + 1) * alpha + 1.0
+    weights = _series_coeffs(alpha, gamma) * (2.0 * L) ** (-s)
+
+    def image_sum(t):
+        u = t[:, None] / 2.0
+        return (zeta(s, 1.0 + u) + zeta(s, 1.0 - u)) @ weights
+
+    return Chebyshev.interpolate(image_sum, _ALIAS_DEGREE)(x / L)
+
+
+def fine_grid_pdf(alpha, gamma, grid):
+    """pdf_grid_sas by the unfolded route: a complex inverse FFT on the
+    grid refined `stride` times, every stride-th point kept, and the
+    full interpolant of the image sum subtracted at every grid point."""
+    h = grid.h
+    x = grid.points()
+    stride = 1
+    while (gamma * math.pi / (h / stride)) ** alpha < 27.0:
+        stride *= 2
+    h_fine = h / stride
+    w = 2.0 * math.pi * np.fft.fftfreq(grid.n * stride, d=h_fine)
+    phi = np.exp(-(gamma**alpha) * np.abs(w) ** alpha)
+    p = np.fft.fftshift(np.fft.ifft(phi).real)[::stride] / h_fine
+    p -= full_alias_interpolant(x, alpha, gamma, grid.half_extent)
+    out = GriddedDensity(float(x[0]), h, np.clip(p, 0.0, None), _tail_law(alpha, gamma))
+    return out.normalize(), stride
 
 
 class TestParams:
@@ -154,6 +188,28 @@ class TestAliasCorrection:
         direct = (terms * (zeta(s, 1.0 + u) + zeta(s, 1.0 - u))).sum(axis=1)
         peak = float(np.max(pdf_grid_sas(alpha, 1.0, grid).values))
         assert np.max(np.abs(_alias_images(x, alpha, 1.0, L) - direct)) <= 1e-15 * peak
+
+    @pytest.mark.parametrize("alpha", [0.4, 1.2, 1.8])
+    def test_even_series_matches_full_interpolant(self, alpha):
+        # the half-degree series in 2(x/L)^2 - 1 against the degree-32
+        # interpolant, at every point of the grid
+        grid = default_grid(alpha, 1.0)
+        x = grid.points()
+        L = grid.half_extent
+        full = full_alias_interpolant(x, alpha, 1.0, L)
+        peak = float(np.max(pdf_grid_sas(alpha, 1.0, grid).values))
+        assert np.max(np.abs(_alias_images(x, alpha, 1.0, L) - full)) <= 1e-15 * peak
+
+    @pytest.mark.parametrize(
+        "alpha, gamma, stride", [(0.4, reference_gamma(0.4), 8), (1.5, 1.0, 1)]
+    )
+    def test_folded_inversion_matches_fine_grid(self, alpha, gamma, stride):
+        grid = default_grid(alpha, gamma)
+        old, old_stride = fine_grid_pdf(alpha, gamma, grid)
+        assert old_stride == stride
+        new = pdf_grid_sas(alpha, gamma, grid)
+        peak = float(np.max(old.values))
+        assert np.max(np.abs(new.values - old.values)) <= 1e-15 * peak
 
     def test_cauchy_grid_matches_closed_form(self):
         f = pdf_grid_sas(1.0, 1.0, default_grid(1.0, 1.0))
