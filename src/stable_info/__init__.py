@@ -23,8 +23,6 @@ from .density import (
     Sum,
     Uniform,
     convolve,
-    entropy,
-    log_moment,
     realize,
 )
 from .estimate import (
@@ -46,9 +44,7 @@ from .jalpha import (
 from .report import BoundReport
 from .specfun import EULER_GAMMA, digamma, gamma_fn, gauss_2f1, kappa_alpha
 from .stable import (
-    ReferenceStable,
     StableParams,
-    cf_sas,
     logpdf_sas,
     pdf_grid_sas,
     reference_entropy,

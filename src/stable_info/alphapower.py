@@ -21,6 +21,7 @@ from scipy.optimize import brentq
 from . import density as dens
 from . import stable
 from .density import Cauchy, Empirical, RandomLaw, SaS, Scaled, Sum
+from .gridded import power_tail_integrals
 
 __all__ = ["AlphaPowerResult", "g_of_P", "alpha_power"]
 
@@ -85,18 +86,15 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
     w = np.bincount(np.abs(idx - f.n // 2), weights=w)
     keep = np.flatnonzero(w > 0)
     y, w = f.h * keep, w[keep]
-    if f.tail is None or alpha == 2:
+    rule = None if alpha == 2 else f.tail_rule()
+    if rule is None:
         return _GRule(alpha, y, w)
-    m_side = (1.0 - f.mass_within(r)) / 2.0
-    if m_side <= 0:
-        return _GRule(alpha, y, w)
-    a = f.tail.exponent
-    c_eff = m_side * a * r**a
+    r, a, c_tail = rule
+    i0, i1 = power_tail_integrals(r, a)
     c1_ref = stable._series_coeffs(alpha, stable.reference_gamma(alpha), 1)[0]
-    ra = r ** (-a)
-    c0 = -math.log(c1_ref) * ra / a + (1.0 + alpha) * (ra * math.log(r) / a + ra / a**2)
-    c1 = (1.0 + alpha) * ra / a
-    return _GRule(alpha, y, w, 2.0 * c_eff * c0, 2.0 * c_eff * c1)
+    c0 = -math.log(c1_ref) * i0 + (1.0 + alpha) * i1
+    c1 = (1.0 + alpha) * i0
+    return _GRule(alpha, y, w, 2.0 * c_tail * c0, 2.0 * c_tail * c1)
 
 
 def g_of_P(law: RandomLaw, alpha: float, P: float) -> float:

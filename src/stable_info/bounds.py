@@ -10,9 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import density as dens
 from . import jalpha as jmod
 from . import stable
 from .density import Gaussian, RandomLaw, SaS, Sum

@@ -87,19 +87,16 @@ def cost_function(x: float, P: float, alpha: float, gamma_N: float) -> float:
             dx=f.h,
         )
     )
-    if f.tail is None:
+    rule = f.tail_rule()
+    if rule is None:
         return core
-    m_side = (1.0 - f.mass_within(r)) / 2.0
-    if m_side <= 0:
-        return core
-    a = f.tail.exponent
-    c_eff = m_side * a * r**a
+    r, a, c_tail = rule
 
     def side(sign: float) -> float:
         # int_r^inf c n^(-1-a) (-ln p_ref((x + sign n)/P)) dn on
         # log-spaced nodes; logpdf_sas is valid at any argument
         n = np.geomspace(r, 1e7 * (r + abs(x)), 600)
         neg_lp = -stable.logpdf_sas(alpha, gam_ref, (x + sign * n) / P)
-        return float(np.trapezoid(c_eff * n ** (-1.0 - a) * neg_lp, n))
+        return float(np.trapezoid(c_tail * n ** (-1.0 - a) * neg_lp, n))
 
     return core + side(1.0) + side(-1.0)

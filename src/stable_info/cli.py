@@ -14,25 +14,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import bounds, capacity, estimate, jalpha, stable
 from .alphapower import alpha_power
-from .density import (
-    Cauchy,
-    Gaussian,
-    Laplace,
-    RandomLaw,
-    SaS,
-    Scaled,
-    Sum,
-    Uniform,
-    auto_grid,
-    convolve,
-    realize,
-)
+from .density import Cauchy, Gaussian, Laplace, RandomLaw, SaS, Uniform, convolve, realize
+from .gridded import GridSpec
 from .specfun import kappa_alpha
 
 __all__ = ["main", "RunConfig", "load_config"]
@@ -48,7 +35,6 @@ EXIT_NUMERIC = 3
 @dataclass
 class RunConfig:
     n_points: int = 2**16
-    extent_factor: float = 200.0
     slack_tol: float = 1e-3
     seed: int = 12345
     format: str = "csv"
@@ -57,8 +43,6 @@ class RunConfig:
     def validate(self):
         if self.n_points < 2**12 or self.n_points & (self.n_points - 1):
             raise ValueError("n_points must be a power of two >= 4096")
-        if self.extent_factor < 50:
-            raise ValueError("extent_factor must be >= 50")
         if not self.slack_tol > 0:
             raise ValueError("slack_tol must be positive")
         if self.format not in ("csv", "json"):
@@ -67,7 +51,6 @@ class RunConfig:
 
 _CONFIG_TYPES = {
     "n_points": int,
-    "extent_factor": float,
     "slack_tol": float,
     "seed": int,
     "format": str,
@@ -137,17 +120,19 @@ def _law_label(law: RandomLaw) -> str:
     return repr(law)
 
 
-def _emit(cfg: RunConfig, header: list, rows: list, payload=None) -> None:
-    """Write CSV rows (or a JSON payload when format=json) to the
-    configured path or stdout."""
-    if cfg.format == "json":
-        doc = payload if payload is not None else [dict(zip(header, r)) for r in rows]
+def _emit(cfg: RunConfig, doc, header: list | None = None) -> None:
+    """Write to the configured path or stdout: a table of rows under
+    header as CSV (as a list of records when format=json), or, without
+    a header, the JSON document doc."""
+    if header is None or cfg.format == "json":
+        if header is not None:
+            doc = [dict(zip(header, r)) for r in doc]
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows(doc)
         text = buf.getvalue()
     if cfg.path:
         with open(cfg.path, "w") as f:
@@ -156,13 +141,17 @@ def _emit(cfg: RunConfig, header: list, rows: list, payload=None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(cfg: RunConfig, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if cfg.path:
-        with open(cfg.path, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+def _floats(text: str) -> list:
+    """argparse type: comma-separated numbers."""
+    return [float(s) for s in text.split(",")]
+
+
+def _laws(text: str) -> list:
+    """argparse type: comma-separated law specs."""
+    try:
+        return [parse_law(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 DEFAULT_POWER_ALPHAS = [round(0.4 + 0.2 * i, 1) for i in range(8)]  # 0.4 .. 1.8
@@ -176,21 +165,10 @@ DEFAULT_POWER_LAWS = [
 
 
 def cmd_power_table(args, cfg: RunConfig) -> int:
-    # alpha_power realizes each law on its own grid
-    grid_flags = {"--n-points": args.n_points, "--extent-factor": args.extent_factor}
-    for flag, val in grid_flags.items():
-        if val is not None:
-            raise ValueError(f"power-table does not use {flag}")
-    alphas = (
-        [float(a) for a in args.alphas.split(",")] if args.alphas else DEFAULT_POWER_ALPHAS
-    )
-    laws = (
-        [parse_law(s) for s in args.laws.split(",")] if args.laws else DEFAULT_POWER_LAWS
-    )
     rows = []
     status = EXIT_OK
-    for a in alphas:
-        for law in laws:
+    for a in args.alphas:
+        for law in args.laws:
             try:
                 res = alpha_power(law, a)
                 value = "infinite" if not res.finite else f"{res.value:.10g}"
@@ -199,24 +177,14 @@ def cmd_power_table(args, cfg: RunConfig) -> int:
             except Exception as exc:  # noqa: BLE001 - row-level error reporting
                 rows.append([a, _law_label(law), "", "", "", str(exc)])
                 status = EXIT_NUMERIC
-    _emit(cfg, ["alpha", "law", "alpha_power", "method", "residual", "error"], rows)
+    _emit(cfg, rows, ["alpha", "law", "alpha_power", "method", "residual", "error"])
     return status
 
 
 def cmd_jalpha_table(args, cfg: RunConfig) -> int:
-    alphas = (
-        [float(a) for a in args.alphas.split(",")]
-        if args.alphas
-        else [1.2, 1.4, 1.6, 1.8]
-    )
-    rs = (
-        [float(r) for r in args.rs.split(",")]
-        if args.rs
-        else [round(0.4 + 0.2 * i, 1) for i in range(8)]
-    )
     rows = []
-    for a in alphas:
-        for r in rs:
+    for a in args.alphas:
+        for r in args.rs:
             gam = r ** (-1.0 / r)
             j = jalpha.jalpha_of_law(SaS(r, gam), a, n=cfg.n_points)
             if math.isclose(r, a):
@@ -225,68 +193,43 @@ def cmd_jalpha_table(args, cfg: RunConfig) -> int:
             else:
                 rel = ""
             rows.append([a, r, f"{j.value:.10g}", j.method, rel])
-    _emit(
-        cfg,
-        ["alpha", "r", "J_alpha", "method", "relerr_vs_closed_form_if_stable"],
-        rows,
-    )
+    _emit(cfg, rows, ["alpha", "r", "J_alpha", "method", "relerr_vs_closed_form_if_stable"])
     return EXIT_OK
 
 
 def cmd_giie_table(args, cfg: RunConfig) -> int:
-    alphas = (
-        [float(a) for a in args.alphas.split(",")]
-        if args.alphas
-        else [1.2, 1.4, 1.6, 1.8, 2.0]
-    )
-    rs = (
-        [float(r) for r in args.rs.split(",")]
-        if args.rs
-        else [round(0.4 + 0.2 * i, 1) for i in range(8)]
-    )
     rows = []
     status = EXIT_OK
-    for a in alphas:
-        for r in rs:
+    for a in args.alphas:
+        for r in args.rs:
             rep = bounds.giie_product(SaS(r, r ** (-1.0 / r)), a)
             rows.append([a, r, f"{rep.lhs:.10g}", f"{rep.rhs:.10g}"])
             if not rep.holds(cfg.slack_tol):
                 status = EXIT_VIOLATION
-    _emit(cfg, ["alpha", "r", "product", "kappa_alpha"], rows)
+    _emit(cfg, rows, ["alpha", "r", "product", "kappa_alpha"])
     return status
 
 
 def cmd_giie_mix(args, cfg: RunConfig) -> int:
-    sigmas = (
-        [float(s) for s in args.sigmas.split(",")]
-        if args.sigmas
-        else [0.5 * i for i in range(17)]
-    )
-    pairs = bounds.giie_mix_products(sigmas, alpha=1.8)
+    pairs = bounds.giie_mix_products(args.sigmas, alpha=1.8)
     k18 = kappa_alpha(1.8)
     rows = [[s, f"{p:.10g}", f"{k18:.10g}"] for s, p in pairs]
     status = EXIT_OK if all(p >= k18 - cfg.slack_tol for _, p in pairs) else EXIT_VIOLATION
-    _emit(cfg, ["sigma", "product", "kappa_18"], rows)
+    _emit(cfg, rows, ["sigma", "product", "kappa_18"])
     return status
 
 
 def cmd_sum_bound(args, cfg: RunConfig) -> int:
-    laws = (
-        [parse_law(s) for s in args.laws.split(",")]
-        if args.laws
-        else [Gaussian(1.0), Laplace(1.0)]
-    )
     alpha = args.alpha
     gamma = args.gamma
     rows = []
     status = EXIT_OK
-    for law in laws:
-        smooth, f = jalpha.spectral_realization(law, alpha, n=cfg.n_points)
-        grid = auto_grid(smooth, n=cfg.n_points, extent_factor=jalpha.SPECTRAL_EXTENT_FACTOR)
+    for law in args.laws:
+        _, f = jalpha.spectral_realization(law, alpha, n=cfg.n_points)
         h_x = f.entropy()
         j_x = jalpha.jalpha_spectral(f, alpha).value
         h_bound = bounds.entropy_sum_upper(h_x, j_x, alpha, gamma)
-        z = realize(SaS(alpha, gamma), grid)
+        z = realize(SaS(alpha, gamma), GridSpec(f.n, f.half_extent))
         h_num = convolve(f, z).entropy()
         slack = h_bound - h_num
         rows.append(
@@ -294,18 +237,14 @@ def cmd_sum_bound(args, cfg: RunConfig) -> int:
         )
         if slack < -cfg.slack_tol:
             status = EXIT_VIOLATION
-    _emit(
-        cfg,
-        ["law", "alpha", "gamma", "h_sum_numeric", "h_sum_bound", "slack"],
-        rows,
-    )
+    _emit(cfg, rows, ["law", "alpha", "gamma", "h_sum_numeric", "h_sum_bound", "slack"])
     return status
 
 
 def cmd_debruijn_check(args, cfg: RunConfig) -> int:
     law = parse_law(args.law)
     rep = jalpha.debruijn_check(law, args.alpha, args.gamma, args.eta)
-    _emit_json(
+    _emit(
         cfg,
         {
             "name": rep.name,
@@ -336,7 +275,7 @@ def cmd_capacity(args, cfg: RunConfig) -> int:
             else p_n,
         },
     }
-    _emit_json(cfg, payload)
+    _emit(cfg, payload)
     return EXIT_OK
 
 
@@ -364,7 +303,7 @@ def cmd_crb_bench(args, cfg: RunConfig) -> int:
             w.writerow(["error"])
             for e in run.errors:
                 w.writerow([repr(float(e))])
-    _emit_json(cfg, payload)
+    _emit(cfg, payload)
     if run.crb is not None and run.error_alpha_power < run.crb * (1.0 - 0.02):
         return EXIT_VIOLATION
     return EXIT_OK
@@ -422,19 +361,32 @@ def cmd_suite(args, cfg: RunConfig) -> int:
         run.error_alpha_power >= run.crb * 0.98,
         {"error_alpha_power": run.error_alpha_power, "crb": run.crb},
     )
-    _emit_json(cfg, {"results": results, "violations": violations})
+    _emit(cfg, {"results": results, "violations": violations})
     return EXIT_OK if not violations else EXIT_VIOLATION
 
 
+# the commands that read n_points; every other one rejects --n-points
+GRID_COMMANDS = ("jalpha-table", "sum-bound")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Hands a bad command line to main as a configuration error instead
+    of exiting from inside argparse."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="stable-info",
         description="Alpha-power / alpha-Fisher information numerics for "
         "symmetric alpha-stable laws",
     )
     p.add_argument("--config", help="key=value config file (or set $" + CONFIG_ENV_VAR + ")")
-    p.add_argument("--n-points", type=int, dest="n_points")
-    p.add_argument("--extent-factor", type=float, dest="extent_factor")
+    p.add_argument(
+        "--n-points", type=int, dest="n_points", help="spectral grid size (jalpha-table, sum-bound)"
+    )
     p.add_argument("--seed", type=int, dest="global_seed")
     p.add_argument("--format", choices=["csv", "json"])
     p.add_argument("--output", dest="path", help="output file (default stdout)")
@@ -444,26 +396,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command")
 
     sp = sub.add_parser("power-table", help="alpha-power sweep over laws")
-    sp.add_argument("--alphas", help="comma-separated alpha values")
-    sp.add_argument("--laws", help="comma-separated law specs")
+    sp.add_argument(
+        "--alphas", type=_floats, default=DEFAULT_POWER_ALPHAS, help="comma-separated alpha values"
+    )
+    sp.add_argument(
+        "--laws", type=_laws, default=DEFAULT_POWER_LAWS, help="comma-separated law specs"
+    )
     sp.set_defaults(fn=cmd_power_table)
 
+    # the r sweep of both tables is the power-table alpha sweep, 0.4 .. 1.8
     sp = sub.add_parser("jalpha-table", help="alpha-Fisher information of S(r, r^(-1/r))")
-    sp.add_argument("--alphas")
-    sp.add_argument("--rs")
+    sp.add_argument("--alphas", type=_floats, default=[1.2, 1.4, 1.6, 1.8])
+    sp.add_argument("--rs", type=_floats, default=DEFAULT_POWER_ALPHAS)
     sp.set_defaults(fn=cmd_jalpha_table)
 
     sp = sub.add_parser("giie-table", help="isoperimetric products over stable laws")
-    sp.add_argument("--alphas")
-    sp.add_argument("--rs")
+    sp.add_argument("--alphas", type=_floats, default=[1.2, 1.4, 1.6, 1.8, 2.0])
+    sp.add_argument("--rs", type=_floats, default=DEFAULT_POWER_ALPHAS)
     sp.set_defaults(fn=cmd_giie_table)
 
     sp = sub.add_parser("giie-mix", help="isoperimetric product, stable + Gaussian mix")
-    sp.add_argument("--sigmas")
+    sp.add_argument("--sigmas", type=_floats, default=[0.5 * i for i in range(17)])
     sp.set_defaults(fn=cmd_giie_mix)
 
     sp = sub.add_parser("sum-bound", help="entropy-of-sum upper bound check")
-    sp.add_argument("--laws")
+    sp.add_argument("--laws", type=_laws, default=[Gaussian(1.0), Laplace(1.0)])
     sp.add_argument("--alpha", type=float, default=1.5)
     sp.add_argument("--gamma", type=float, default=1.0)
     sp.set_defaults(fn=cmd_sum_bound)
@@ -503,13 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = load_config(
             args.config,
             overrides={
                 "n_points": args.n_points,
-                "extent_factor": args.extent_factor,
                 "seed": args.global_seed,
                 "format": args.format,
                 "path": args.path,
@@ -525,6 +481,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_CONFIG
     try:
+        if args.n_points is not None and args.command not in GRID_COMMANDS:
+            raise ValueError(f"{args.command} does not use --n-points")
         return args.fn(args, cfg)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

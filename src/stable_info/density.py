@@ -2,9 +2,8 @@
 
 A RandomLaw is a small description object (Gaussian, Uniform, Laplace,
 Cauchy, SaS, shift/scale/sum compositions, or an empirical sample set);
-realize() turns it into a GriddedDensity.  Entropy and logarithmic
-moments then run through the tail-corrected quadrature of the grid
-container.
+realize() turns it into a GriddedDensity, whose entropy runs through
+the tail-corrected quadrature of the grid container.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ __all__ = [
     "auto_grid",
     "realize",
     "convolve",
-    "entropy",
-    "log_moment",
 ]
 
 DEFAULT_N = stable.DEFAULT_N
@@ -457,21 +454,3 @@ def convolve(f: GriddedDensity, g: GriddedDensity) -> GriddedDensity:
     )
     return out.normalize()
 
-
-def entropy(f: GriddedDensity) -> float:
-    """Differential entropy in nats (tail-corrected trapezoid)."""
-    return f.entropy()
-
-
-def log_moment(law: RandomLaw) -> float:
-    """E[ln(1 + |X|)]; finite for every law implemented here."""
-    if isinstance(law, Empirical):
-        return float(np.mean(np.log1p(np.abs(law.as_array()))))
-    f = realize(law)
-
-    def tail_int(c_eff, a, r):
-        # 2 * int_r^inf c x^(-1-a) ln(1+x) dx, with ln(1+x) ~ ln x
-        ra = r ** (-a)
-        return 2.0 * c_eff * (ra * math.log1p(r) / a + ra / a**2)
-
-    return f.expect(lambda x: np.log1p(np.abs(x)), tail_int)

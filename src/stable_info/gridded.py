@@ -9,14 +9,12 @@ tail descriptor carry all their mass on the grid.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-__all__ = ["GridSpec", "TailLaw", "GriddedDensity"]
+__all__ = ["GridSpec", "TailLaw", "GriddedDensity", "power_tail_integrals"]
 
 # fraction of the half-extent treated as grid-accurate; beyond it the
 # tail descriptor takes over in entropy/log-density queries
@@ -176,51 +174,39 @@ class GriddedDensity:
     def pdf(self, xq) -> np.ndarray:
         return np.exp(self.logpdf(xq))
 
+    def tail_rule(self) -> tuple[float, float, float] | None:
+        """(r, a, c_eff) of the mass-consistent tail beyond r, the
+        accurate radius: c_eff x^(-1-a) on each side carries exactly the
+        mass missing from the core, which keeps tail corrections
+        consistent when the grid normalization and the asymptotic
+        constant disagree slightly.  None without a tail law or when no
+        mass is missing."""
+        if self.tail is None:
+            return None
+        r = self.accurate_radius
+        m_side = (1.0 - self.mass_within(r)) / 2.0
+        if m_side <= 0:
+            return None
+        a = self.tail.exponent
+        return r, a, m_side * a * r**a
+
     def entropy(self) -> float:
         """Differential entropy in nats.
 
-        Trapezoid quadrature of -p ln p over the accurate region, plus a
-        closed-form correction for the tail mass when a tail law is
-        attached.  The correction uses an effective tail coefficient
-        chosen so the analytic tail carries exactly the mass missing
-        from the core; this keeps the estimate consistent when the grid
-        normalization and the asymptotic constant disagree slightly.
-        """
+        Trapezoid quadrature of -p ln p over the accurate region, plus
+        the closed-form entropy of the mass-consistent tail."""
         r = self.accurate_radius
         sel = np.abs(self.x) <= r
         p = np.clip(self.values[sel], _FLOOR, None)
         core = -float(np.trapezoid(p * np.log(p), dx=self.h))
-        if self.tail is None:
+        rule = self.tail_rule()
+        if rule is None:
             return core
-        m_side = (1.0 - self.mass_within(r)) / 2.0
-        if m_side <= 0:
-            return core
-        a = self.tail.exponent
-        c_eff = m_side * a * r**a
-        # -2 * int_r^inf c x^(-1-a) ln(c x^(-1-a)) dx in closed form
-        ra = r ** (-a)
-        tail_ent = (1.0 + a) * c_eff * (ra * np.log(r) / a + ra / a**2)
-        tail_ent -= np.log(c_eff) * c_eff * ra / a
+        r, a, c_tail = rule
+        # -2 * int_r^inf c x^(-1-a) ln(c x^(-1-a)) dx
+        i0, i1 = power_tail_integrals(r, a)
+        tail_ent = (1.0 + a) * c_tail * i1 - np.log(c_tail) * c_tail * i0
         return core + 2.0 * tail_ent
-
-    def expect(self, fn, tail_fn=None) -> float:
-        """E[fn(X)] by trapezoid quadrature over the accurate region.
-
-        tail_fn, if given, maps (c_eff, exponent, r) to the analytic
-        value of the two-sided tail integral of fn against the
-        mass-consistent tail density c_eff |x|^(-1-a).
-        """
-        r = self.accurate_radius
-        sel = np.abs(self.x) <= r
-        core = float(np.trapezoid(self.values[sel] * fn(self.x[sel]), dx=self.h))
-        if self.tail is None or tail_fn is None:
-            return core
-        m_side = (1.0 - self.mass_within(r)) / 2.0
-        if m_side <= 0:
-            return core
-        a = self.tail.exponent
-        c_eff = m_side * a * r**a
-        return core + tail_fn(c_eff, a, r)
 
     def resample(self, grid: GridSpec) -> "GriddedDensity":
         """Cubic re-interpolation onto a new grid, renormalized."""
@@ -231,35 +217,8 @@ class GriddedDensity:
         out = GriddedDensity(xq[0], grid.h, np.clip(p, 0.0, None), self.tail)
         return out.normalize()
 
-    # -- CSV round trip (columns: x, p) --------------------------------
 
-    def to_csv(self, path_or_buf) -> None:
-        close = False
-        if isinstance(path_or_buf, (str, bytes)):
-            f = open(path_or_buf, "w", newline="")
-            close = True
-        else:
-            f = path_or_buf
-        try:
-            w = csv.writer(f)
-            w.writerow(["x", "p"])
-            for xi, pi in zip(self.x, self.values):
-                w.writerow([repr(float(xi)), repr(float(pi))])
-        finally:
-            if close:
-                f.close()
-
-    @classmethod
-    def from_csv(cls, path_or_buf) -> "GriddedDensity":
-        if isinstance(path_or_buf, (str, bytes)):
-            with open(path_or_buf, newline="") as f:
-                return cls.from_csv(f)
-        if isinstance(path_or_buf, str):
-            path_or_buf = io.StringIO(path_or_buf)
-        rows = list(csv.reader(path_or_buf))
-        if rows and rows[0] and rows[0][0].strip().lower() == "x":
-            rows = rows[1:]
-        x = np.array([float(r[0]) for r in rows])
-        p = np.array([float(r[1]) for r in rows])
-        h = float(np.median(np.diff(x)))
-        return cls(float(x[0]), h, p)
+def power_tail_integrals(r: float, a: float) -> tuple[float, float]:
+    """int_r^inf x^(-1-a) dx and int_r^inf x^(-1-a) ln x dx in closed form."""
+    ra = r ** (-a)
+    return ra / a, ra * np.log(r) / a + ra / a**2

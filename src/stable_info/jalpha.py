@@ -23,7 +23,7 @@ import numpy as np
 from . import density as dens
 from . import stable
 from .density import Empirical, Gaussian, Laplace, RandomLaw, SaS, Scaled, Shifted, Sum, Uniform
-from .gridded import GriddedDensity, GridSpec
+from .gridded import GriddedDensity, power_tail_integrals
 from .report import BoundReport
 
 __all__ = [
@@ -98,7 +98,9 @@ def jalpha_spectral(f: GriddedDensity, alpha: float) -> JAlphaEstimate:
     R = f.accurate_radius
     sel = np.abs(f.x) <= R
     val = float(np.trapezoid(lp[sel] * r_fun[sel], dx=h))
-    tail_mass = 1.0 - f.mass_within(R) if f.tail is not None else 0.0
+    # two-sided mass of the mass-consistent tail beyond R
+    rule = f.tail_rule()
+    tail_mass = 0.0 if rule is None else 2.0 * rule[2] * power_tail_integrals(*rule[:2])[0]
     if val < -1e-4:
         raise ArithmeticError(
             f"spectral alpha-Fisher information came out negative ({val:.3e})"
@@ -128,12 +130,7 @@ def _is_smooth(law: RandomLaw) -> bool:
     return False
 
 
-def smooth_for_spectral(
-    law: RandomLaw,
-    alpha: float,
-    eta: float = SMOOTHING_ETA,
-    gamma_min: float = 0.0,
-) -> RandomLaw:
+def smooth_for_spectral(law: RandomLaw, alpha: float, gamma_min: float = 0.0) -> RandomLaw:
     """Add a tiny S(alpha, .) perturbation to laws whose characteristic
     function decays too slowly for the spectral integrand.  gamma_min
     lets the caller force enough smoothing to kill the spectrum by a
@@ -141,15 +138,12 @@ def smooth_for_spectral(
     if _is_smooth(law):
         return law
     scale = law.scale_hint()
-    gam = max((eta * scale**alpha) ** (1.0 / alpha), gamma_min)
+    gam = max((SMOOTHING_ETA * scale**alpha) ** (1.0 / alpha), gamma_min)
     return Sum(law, Scaled(SaS(alpha, 1.0), gam))
 
 
 def spectral_realization(
-    law: RandomLaw,
-    alpha: float,
-    n: int = stable.DEFAULT_N,
-    extent_factor: float = SPECTRAL_EXTENT_FACTOR,
+    law: RandomLaw, alpha: float, n: int = stable.DEFAULT_N
 ) -> tuple[RandomLaw, GriddedDensity]:
     """Pre-smooth a law just enough for the spectral route and realize
     it on a wide grid.  The smoothing scale is chosen so the smoothed
@@ -165,28 +159,23 @@ def spectral_realization(
         # |w|^alpha exp(-(gamma w)^r) needs w_max ~ 36^(1/r)/gamma
         w_req = 36.0 ** (1.0 / law.alpha) / law.gamma
         n_req = 2 ** math.ceil(
-            math.log2(max(2.0 * extent_factor * law.gamma * w_req / math.pi, 2.0))
+            math.log2(max(2.0 * SPECTRAL_EXTENT_FACTOR * law.gamma * w_req / math.pi, 2.0))
         )
         n = max(n, min(n_req, MAX_SPECTRAL_N))
-    w_max = math.pi * n / (2.0 * extent_factor * law.scale_hint())
+    w_max = math.pi * n / (2.0 * SPECTRAL_EXTENT_FACTOR * law.scale_hint())
     gamma_min = 30.0 ** (1.0 / alpha) / w_max
     law = smooth_for_spectral(law, alpha, gamma_min=gamma_min)
-    grid = dens.auto_grid(law, n=n, extent_factor=extent_factor)
+    grid = dens.auto_grid(law, n=n, extent_factor=SPECTRAL_EXTENT_FACTOR)
     return law, dens.realize(law, grid)
 
 
-def jalpha_of_law(
-    law: RandomLaw,
-    alpha: float,
-    n: int = stable.DEFAULT_N,
-    extent_factor: float = SPECTRAL_EXTENT_FACTOR,
-) -> JAlphaEstimate:
+def jalpha_of_law(law: RandomLaw, alpha: float, n: int = stable.DEFAULT_N) -> JAlphaEstimate:
     """Spectral J_alpha of a law, pre-smoothing it when necessary.
 
     The grid size is doubled, up to MAX_SPECTRAL_N, until the spectral
     integrand has died out by the frequency cutoff."""
     while True:
-        _, f = spectral_realization(law, alpha, n, extent_factor)
+        _, f = spectral_realization(law, alpha, n)
         try:
             return jalpha_spectral(f, alpha)
         except ArithmeticError:
@@ -242,9 +231,9 @@ def debruijn_check(
     h_plus = dens.realize(smoothed(eta + d_eta)).entropy()
     h_minus = dens.realize(smoothed(eta - d_eta)).entropy()
     lhs = (h_plus - h_minus) / (2.0 * d_eta)
-    law_eta = smoothed(eta)
-    grid = dens.auto_grid(law_eta, extent_factor=SPECTRAL_EXTENT_FACTOR)
-    j = jalpha_spectral(dens.realize(law_eta, grid), alpha)
+    # X_eta is smooth already, so this only picks the spectral grid
+    _, f = spectral_realization(smoothed(eta), alpha)
+    j = jalpha_spectral(f, alpha)
     rhs = gamma**alpha * j.value
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return BoundReport(

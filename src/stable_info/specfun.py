@@ -1,9 +1,8 @@
 """Special functions used by the closed-form expressions.
 
-Gamma, log-gamma, digamma and the Gauss hypergeometric function are
-delegated to scipy, with argument checking added on top: downstream
-formulas are only valid for positive arguments, and 2F1 only for real
-z < 1.
+Gamma, digamma and the Gauss hypergeometric function are delegated to
+scipy, with argument checking added on top: downstream formulas are
+only valid for positive arguments, and 2F1 only for real z < 1.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import scipy.special as _sc
 __all__ = [
     "EULER_GAMMA",
     "gamma_fn",
-    "log_gamma",
     "digamma",
     "gauss_2f1",
     "kappa_alpha",
@@ -31,12 +29,6 @@ def gamma_fn(x: float) -> float:
     return float(_sc.gamma(x))
 
 
-def log_gamma(x: float) -> float:
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return float(_sc.gammaln(x))
-
-
 def digamma(x: float) -> float:
     """Digamma (psi) function for positive real arguments."""
     if not x > 0:
@@ -45,11 +37,23 @@ def digamma(x: float) -> float:
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; z) for real z < 1."""
+    """Gauss hypergeometric function 2F1(a, b; c; z) for real z < 1.
+
+    The shape 2F1(a, a; a + 1; z) of the entropy-of-sum bound takes the
+    leading terms of its 1/z expansion below z = -1e8, the degenerate
+    case of DLMF 15.8.8:
+
+        a Z^(-a) [ln(1 + Z) - psi(a) - gamma_e - (1 - a)/Z],  Z = -z,
+
+    which is good to roundoff there; scipy's hyp2f1 drifts from the
+    true value beyond |z| ~ 1e8 and overflows from |z| ~ 1e14."""
     if c <= 0 and c == int(c):
         raise ValueError(f"gauss_2f1 undefined for non-positive integer c={c}")
     if z >= 1:
         raise ValueError(f"gauss_2f1 requires z < 1, got {z}")
+    if b == a > 0 and c == a + 1.0 and z < -1e8:
+        Z = -z
+        return a * Z ** (-a) * (math.log1p(Z) - digamma(a) - EULER_GAMMA - (1.0 - a) / Z)
     return float(_sc.hyp2f1(a, b, c, z))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Chebyshev
@@ -33,16 +33,12 @@ from .specfun import gamma_fn
 
 __all__ = [
     "StableParams",
-    "ReferenceStable",
-    "cf_sas",
     "tail_constant_k1",
     "reference_gamma",
-    "default_grid",
     "pdf_grid_sas",
     "sas_density",
     "logpdf_sas",
     "sample_sas",
-    "reference_density",
     "reference_entropy",
 ]
 
@@ -62,22 +58,14 @@ DEFAULT_EXTENT_FACTOR = 200.0
 
 @dataclass(frozen=True)
 class StableParams:
-    """Parameters (alpha, beta, gamma, delta) of a univariate stable law.
-
-    Only the symmetric case beta = delta = 0 has a numeric engine here;
-    skewed laws are representable but not realizable.
-    """
+    """Parameters (alpha, gamma) of a symmetric alpha-stable law."""
 
     alpha: float
-    beta: float = 0.0
     gamma: float = 1.0
-    delta: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.alpha <= 2:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not -1 <= self.beta <= 1:
-            raise ValueError(f"beta must be in [-1, 1], got {self.beta}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 
@@ -89,40 +77,6 @@ class StableParams:
 def reference_gamma(alpha: float) -> float:
     """Scale (1/alpha)^(1/alpha) of the unit-power reference law."""
     return (1.0 / alpha) ** (1.0 / alpha)
-
-
-@dataclass
-class ReferenceStable:
-    """The reference law S(alpha, (1/alpha)^(1/alpha)), alpha-power 1."""
-
-    alpha: float
-    gamma_ref: float = field(init=False)
-
-    def __post_init__(self):
-        if not 0 < self.alpha <= 2:
-            raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        self.gamma_ref = reference_gamma(self.alpha)
-
-    @property
-    def entropy(self) -> float:
-        return reference_entropy(self.alpha)
-
-    def density(self) -> GriddedDensity:
-        return reference_density(self.alpha)
-
-    def logpdf(self, x):
-        return logpdf_sas(self.alpha, self.gamma_ref, x)
-
-
-def cf_sas(params: StableParams, omega) -> complex:
-    """Characteristic function exp(i delta w - gamma^alpha |w|^alpha)."""
-    if params.beta != 0:
-        raise ValueError("characteristic function implemented for beta = 0 only")
-    w = np.asarray(omega, dtype=float)
-    val = np.exp(
-        1j * params.delta * w - params.gamma**params.alpha * np.abs(w) ** params.alpha
-    )
-    return complex(val) if val.ndim == 0 else val
 
 
 def tail_constant_k1(alpha: float, d: int) -> float:
@@ -183,16 +137,6 @@ def _tail_law(alpha: float, gamma: float) -> TailLaw:
     c = _series_coeffs(alpha, gamma)
     extra = tuple((i * alpha, float(ci)) for i, ci in enumerate(c[1:], start=2))
     return TailLaw(exponent=alpha, coefficient=float(c[0]), extra=extra)
-
-
-def default_grid(
-    alpha: float,
-    gamma: float,
-    n: int = DEFAULT_N,
-    extent_factor: float = DEFAULT_EXTENT_FACTOR,
-) -> GridSpec:
-    """Grid wide enough for the tail handoff at extent_factor * gamma."""
-    return GridSpec(n=n, half_extent=extent_factor * gamma)
 
 
 def pdf_grid_sas(alpha: float, gamma: float, grid: GridSpec) -> GriddedDensity:
@@ -259,14 +203,11 @@ def pdf_grid_sas(alpha: float, gamma: float, grid: GridSpec) -> GriddedDensity:
 
 
 @functools.lru_cache(maxsize=64)
-def sas_density(
-    alpha: float,
-    gamma: float,
-    n: int = DEFAULT_N,
-    extent_factor: float = DEFAULT_EXTENT_FACTOR,
-) -> GriddedDensity:
-    """Cached density on the default grid for (alpha, gamma)."""
-    return pdf_grid_sas(alpha, gamma, default_grid(alpha, gamma, n, extent_factor))
+def sas_density(alpha: float, gamma: float) -> GriddedDensity:
+    """Cached density on the default grid for (alpha, gamma): DEFAULT_N
+    points, wide enough for the tail handoff at DEFAULT_EXTENT_FACTOR
+    gamma."""
+    return pdf_grid_sas(alpha, gamma, GridSpec(DEFAULT_N, DEFAULT_EXTENT_FACTOR * gamma))
 
 
 def logpdf_sas(alpha: float, gamma: float, x):
@@ -303,15 +244,10 @@ def sample_sas(alpha: float, gamma: float, n, seed) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def reference_density(alpha: float) -> GriddedDensity:
-    return sas_density(alpha, reference_gamma(alpha))
-
-
-@functools.lru_cache(maxsize=32)
 def reference_entropy(alpha: float) -> float:
     """Entropy h of the reference law S(alpha, (1/alpha)^(1/alpha))."""
     if alpha == 2:
         return 0.5 * math.log(2.0 * math.pi * math.e)
     if alpha == 1:
         return math.log(4.0 * math.pi)
-    return reference_density(alpha).entropy()
+    return sas_density(alpha, reference_gamma(alpha)).entropy()

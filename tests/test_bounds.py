@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from stable_info.bounds import (
@@ -79,6 +80,13 @@ class TestEntropySumUpper:
     def test_large_argument_is_finite(self):
         # -t is about -1.6e6 in 2F1 here
         assert math.isfinite(entropy_sum_upper(1.0, 5.0, 1.2, 2.0))
+
+    def test_near_cauchy_argument_is_finite(self):
+        # -t is about -2.5e15 in 2F1 here, where scipy's hyp2f1 overflows
+        a, g, J = 1.05, 10.0, 0.5
+        t = (a * g**a * J) ** (1.0 / (a - 1.0))
+        expect = 1.0 + g**a * J * float(mpmath.hyp2f1(a - 1.0, a - 1.0, a, -t))
+        assert entropy_sum_upper(1.0, J, a, g) == pytest.approx(expect, rel=1e-14)
 
     def test_monotone_in_information(self):
         vals = [entropy_sum_upper(0.0, j, 1.8, 1.0) for j in (0.1, 0.5, 1.0, 2.0, 5.0)]

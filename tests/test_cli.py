@@ -64,9 +64,9 @@ class TestConfig:
 
     def test_env_var_fallback(self, tmp_path, monkeypatch):
         p = tmp_path / "cfg"
-        p.write_text("extent_factor = 120\n")
+        p.write_text("slack_tol = 0.5\n")
         monkeypatch.setenv(CONFIG_ENV_VAR, str(p))
-        assert load_config().extent_factor == 120.0
+        assert load_config().slack_tol == 0.5
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "cfg"
@@ -75,7 +75,8 @@ class TestConfig:
             load_config(str(p))
 
     def test_removed_tolerance_keys_rejected(self, capsys, tmp_path):
-        for key in ("root_tol", "entropy_tol"):
+        # and the grid key extent_factor, which no command read
+        for key in ("root_tol", "entropy_tol", "extent_factor"):
             p = tmp_path / "cfg"
             p.write_text(f"{key} = 1e-6\n")
             code, _, err = run_cli(capsys, "--config", str(p), "--show-config")
@@ -85,8 +86,6 @@ class TestConfig:
     def test_validation_rules(self):
         with pytest.raises(ValueError):
             RunConfig(n_points=1000).validate()
-        with pytest.raises(ValueError):
-            RunConfig(extent_factor=10).validate()
         with pytest.raises(ValueError):
             RunConfig(format="yaml").validate()
 
@@ -113,6 +112,25 @@ class TestTopLevel:
         )
         assert code == EXIT_CONFIG
         assert "configuration error" in err
+
+    @pytest.mark.parametrize(
+        "command", ["giie-table", "giie-mix", "debruijn-check", "crb-bench", "suite"]
+    )
+    def test_n_points_rejected_where_unread(self, capsys, command):
+        code, out, err = run_cli(capsys, "--n-points", "4096", command)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"configuration error: {command} does not use --n-points" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["jalpha-table", "--alphas", "1.8", "--rs", "1.8"], ["sum-bound", "--laws", "laplace:1"]],
+        ids=["jalpha-table", "sum-bound"],
+    )
+    def test_n_points_read_by_grid_commands(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "--n-points", "4096", *argv)
+        assert code == EXIT_OK
+        assert len(read_csv(out)[1]) == 1
 
 
 class TestPowerTable:
@@ -160,11 +178,11 @@ class TestPowerTable:
     @pytest.mark.parametrize("flag,value", [("--n-points", "4096"), ("--extent-factor", "50")])
     def test_grid_flags_rejected(self, capsys, flag, value):
         code, out, err = run_cli(
-            capsys, flag, value, "power-table", "--alphas", "1.2", "--laws", "laplace:1"
+            capsys, f"{flag}={value}", "power-table", "--alphas", "1.2", "--laws", "laplace:1"
         )
         assert code == EXIT_CONFIG
         assert out == ""
-        assert f"configuration error: power-table does not use {flag}" in err
+        assert "configuration error: " in err and flag in err
 
 
 class TestJalphaTable:

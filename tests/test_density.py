@@ -18,7 +18,6 @@ from stable_info.density import (
     _combine_tails,
     auto_grid,
     convolve,
-    log_moment,
     realize,
 )
 from stable_info.gridded import GriddedDensity, GridSpec
@@ -162,16 +161,6 @@ class TestEmpirical:
         law = Empirical((1.0, 2.0, 3.0))
         s = law.sample(100, seed=0)
         assert set(np.unique(s)) <= {1.0, 2.0, 3.0}
-
-
-class TestLogMoment:
-    def test_log_moment_gaussian(self):
-        # E[ln(1+|X|)] for N(0,1); reference from adaptive quadrature
-        assert log_moment(Gaussian(1.0)) == pytest.approx(0.5348222957, abs=1e-5)
-
-    def test_log_moment_cauchy(self):
-        # E[ln(1+|X|)] for Cauchy(2); reference from adaptive quadrature
-        assert log_moment(Cauchy(2.0)) == pytest.approx(1.3194886800, abs=1e-4)
 
 
 class TestScalingProperties:

@@ -1,12 +1,11 @@
-import io
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from stable_info.gridded import GriddedDensity, GridSpec, TailLaw
-from stable_info.stable import _tail_law
+from stable_info.gridded import GriddedDensity, GridSpec, TailLaw, power_tail_integrals
+from stable_info.stable import _tail_law, sas_density
 
 
 def gaussian_grid(sigma=1.0, n=2**14, L=12.0):
@@ -124,10 +123,6 @@ class TestGriddedDensity:
         f = gaussian_grid()
         assert float(f.logpdf(100.0)) < -600.0
 
-    def test_expect_second_moment(self):
-        f = gaussian_grid(sigma=0.9)
-        assert f.expect(lambda x: x**2) == pytest.approx(0.81, abs=1e-8)
-
     def test_resample(self):
         f = gaussian_grid(sigma=1.0)
         f2 = f.resample(GridSpec(n=2**12, half_extent=10.0))
@@ -138,12 +133,23 @@ class TestGriddedDensity:
         with pytest.raises(ValueError):
             GriddedDensity(-1.0, 0.5, np.array([0.1, -0.2, 0.1]))
 
-    def test_csv_round_trip(self):
-        f = gaussian_grid(n=2**10, L=8.0)
-        buf = io.StringIO()
-        f.to_csv(buf)
-        buf.seek(0)
-        back = GriddedDensity.from_csv(buf)
-        assert np.array_equal(back.values, f.values)
-        assert back.x0 == f.x0
-        assert back.h == pytest.approx(f.h, rel=1e-12)
+
+class TestTailRule:
+    @pytest.mark.parametrize("r,a", [(0.9, 0.4), (180.0, 1.0), (3600.0, 1.7)])
+    def test_closed_forms_match_quadrature(self, r, a):
+        # x = r u puts the lower limit at 1, where quad resolves the decay
+        i0, i1 = power_tail_integrals(r, a)
+        mass = quad(lambda u: u ** (-1 - a), 1.0, np.inf)[0]
+        log_moment = quad(lambda u: u ** (-1 - a) * math.log(r * u), 1.0, np.inf)[0]
+        assert i0 == pytest.approx(r ** (-a) * mass, rel=1e-10)
+        assert i1 == pytest.approx(r ** (-a) * log_moment, rel=1e-10)
+
+    def test_tail_carries_the_missing_mass(self):
+        f = sas_density(1.5, 1.0)
+        r, a, c_eff = f.tail_rule()
+        assert (r, a) == (f.accurate_radius, 1.5)
+        i0, _ = power_tail_integrals(r, a)
+        assert 2.0 * c_eff * i0 == pytest.approx(1.0 - f.mass_within(r), rel=1e-12)
+
+    def test_no_rule_without_tail(self):
+        assert gaussian_grid().tail_rule() is None

@@ -71,10 +71,14 @@ class TestGauss2F1:
             (0.2, 0.2, 1.2, -1e6),
             (0.5, 0.5, 1.5, -1e6),
             (0.8, 0.8, 1.8, -1e6),
+            (0.2, 0.2, 1.2, -1e10),
+            (0.5, 0.5, 1.5, -1e12),
+            (0.05, 0.05, 1.05, -1e14),
         ],
     )
     def test_large_negative_argument(self, a, b, c, z):
-        # z/(z-1) lies within 1e-4 of 1 here, beyond a plain power series
+        # z/(z-1) lies within 1e-4 of 1 here, beyond a plain power series;
+        # from |z| = 1e8 on, the 1/z expansion takes over from scipy
         expect = float(mpmath.hyp2f1(a, b, c, z))
         assert gauss_2f1(a, b, c, z) == pytest.approx(expect, rel=1e-10)
 
