@@ -34,15 +34,12 @@ EXIT_NUMERIC = 3
 
 @dataclass
 class RunConfig:
-    n_points: int = 2**16
     slack_tol: float = 1e-3
     seed: int = 12345
     format: str = "csv"
     path: str | None = None
 
     def validate(self):
-        if self.n_points < 2**12 or self.n_points & (self.n_points - 1):
-            raise ValueError("n_points must be a power of two >= 4096")
         if not self.slack_tol > 0:
             raise ValueError("slack_tol must be positive")
         if self.format not in ("csv", "json"):
@@ -50,7 +47,6 @@ class RunConfig:
 
 
 _CONFIG_TYPES = {
-    "n_points": int,
     "slack_tol": float,
     "seed": int,
     "format": str,
@@ -186,7 +182,7 @@ def cmd_jalpha_table(args, cfg: RunConfig) -> int:
     for a in args.alphas:
         for r in args.rs:
             gam = r ** (-1.0 / r)
-            j = jalpha.jalpha_of_law(SaS(r, gam), a, n=cfg.n_points)
+            j = jalpha.jalpha_of_law(SaS(r, gam), a)
             if math.isclose(r, a):
                 closed = jalpha.jalpha_closed_stable(a, gam)
                 rel = f"{(j.value - closed) / closed:.3g}"
@@ -225,7 +221,7 @@ def cmd_sum_bound(args, cfg: RunConfig) -> int:
     rows = []
     status = EXIT_OK
     for law in args.laws:
-        _, f = jalpha.spectral_realization(law, alpha, n=cfg.n_points)
+        _, f = jalpha.spectral_realization(law, alpha)
         h_x = f.entropy()
         j_x = jalpha.jalpha_spectral(f, alpha).value
         h_bound = bounds.entropy_sum_upper(h_x, j_x, alpha, gamma)
@@ -365,10 +361,6 @@ def cmd_suite(args, cfg: RunConfig) -> int:
     return EXIT_OK if not violations else EXIT_VIOLATION
 
 
-# the commands that read n_points; every other one rejects --n-points
-GRID_COMMANDS = ("jalpha-table", "sum-bound")
-
-
 class _Parser(argparse.ArgumentParser):
     """Hands a bad command line to main as a configuration error instead
     of exiting from inside argparse."""
@@ -384,9 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         "symmetric alpha-stable laws",
     )
     p.add_argument("--config", help="key=value config file (or set $" + CONFIG_ENV_VAR + ")")
-    p.add_argument(
-        "--n-points", type=int, dest="n_points", help="spectral grid size (jalpha-table, sum-bound)"
-    )
     p.add_argument("--seed", type=int, dest="global_seed")
     p.add_argument("--format", choices=["csv", "json"])
     p.add_argument("--output", dest="path", help="output file (default stdout)")
@@ -465,7 +454,6 @@ def main(argv=None) -> int:
         cfg = load_config(
             args.config,
             overrides={
-                "n_points": args.n_points,
                 "seed": args.global_seed,
                 "format": args.format,
                 "path": args.path,
@@ -481,8 +469,6 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_CONFIG
     try:
-        if args.n_points is not None and args.command not in GRID_COMMANDS:
-            raise ValueError(f"{args.command} does not use --n-points")
         return args.fn(args, cfg)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

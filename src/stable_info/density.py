@@ -27,13 +27,19 @@ __all__ = [
     "Scaled",
     "Sum",
     "Empirical",
-    "auto_grid",
+    "plan_grid",
     "realize",
     "convolve",
 ]
 
-DEFAULT_N = stable.DEFAULT_N
-DEFAULT_EXTENT_FACTOR = stable.DEFAULT_EXTENT_FACTOR
+# grid points, and half-extent in units of scale_hint(), of the default
+# grid; the spectral route needs a wider one because the integrand
+# ln p * r has slowly decaying tails the core integral must mostly
+# capture, and raises n for heavy stable factors up to MAX_GRID_N
+GRID_N = 2**16
+GRID_EXTENT = 200.0
+SPECTRAL_EXTENT = 400.0
+MAX_GRID_N = 2**22
 
 
 @dataclass(frozen=True)
@@ -127,8 +133,6 @@ class Uniform(RandomLaw):
         hi = np.clip(x + h / 2.0, -self.a, self.a)
         lo = np.clip(x - h / 2.0, -self.a, self.a)
         p = (hi - lo) / (2.0 * self.a * h)
-        from .gridded import GriddedDensity
-
         return GriddedDensity(float(x[0]), h, p).normalize()
 
 
@@ -272,14 +276,14 @@ class Scaled(RandomLaw):
         return self.c * self.law.sample(n, seed)
 
     def _realize_on(self, grid):
-        # realize the inner law on its own natural grid, then sample
-        # p(x/c)/c; logpdf covers queries beyond that grid via its tail
+        # p(x/c)/|c| on grid is the inner law on grid/|c|, relabelled;
+        # for c < 0 the value at x is the inner one at -x, the mirror
+        # index n - k, with -L standing in for the off-grid point +L
         c = abs(self.c)
-        base = realize(self.law)
-        x = grid.points()
-        p = np.exp(base.logpdf(x / c)) / c
-        if base.tail is None:
-            p[np.abs(x / c) > base.half_extent] = 0.0
+        base = realize(self.law, GridSpec(grid.n, grid.half_extent / c))
+        values = base.values / c
+        if self.c < 0:
+            values = np.roll(values[::-1], 1)
         tail = None
         if base.tail is not None:
             tail = TailLaw(
@@ -287,9 +291,7 @@ class Scaled(RandomLaw):
                 base.tail.coefficient * c**base.tail.exponent,
                 tuple((ek, ck * c**ek) for ek, ck in base.tail.extra),
             )
-        return GriddedDensity(
-            float(x[0]), grid.h, np.clip(p, 0.0, None), tail
-        ).normalize()
+        return GriddedDensity(-grid.half_extent, grid.h, values, tail)
 
 
 @dataclass(frozen=True)
@@ -386,20 +388,46 @@ class Empirical(RandomLaw):
         return GriddedDensity(float(x[0]), grid.h, p).normalize()
 
 
-def auto_grid(
-    law: RandomLaw, n: int = DEFAULT_N, extent_factor: float = DEFAULT_EXTENT_FACTOR
-) -> GridSpec:
-    """Default grid for a law: extent proportional to its scale."""
-    s = law.scale_hint()
+def _spectral_reach(law: RandomLaw) -> float:
+    """Frequency by which |w|^alpha phi(w) of the law's heavy stable
+    factors has died out: 36^(1/r)/gamma for S(r, gamma), whose
+    characteristic function is exp(-(gamma w)^r); 0 when no factor needs
+    one.  Scaling by c divides it by |c|, and the characteristic
+    functions of a sum multiply, so the smaller reach of two factors
+    suffices."""
+    if isinstance(law, SaS):
+        return 36.0 ** (1.0 / law.alpha) / law.gamma
+    if isinstance(law, Shifted):
+        return _spectral_reach(law.law)
+    if isinstance(law, Scaled):
+        return _spectral_reach(law.law) / abs(law.c)
+    if isinstance(law, Sum):
+        return min(_spectral_reach(law.law1), _spectral_reach(law.law2))
+    return 0.0
+
+
+def plan_grid(law: RandomLaw, alpha: float | None = None) -> GridSpec:
+    """The grid a law is realized on.
+
+    Without alpha: GRID_N points over GRID_EXTENT scales, or for
+    Empirical a span set by its samples.  With alpha, the spectral grid
+    for J_alpha: SPECTRAL_EXTENT scales, with n raised, up to
+    MAX_GRID_N, until the Nyquist frequency pi/h reaches the law's
+    spectral reach."""
+    s = max(law.scale_hint(), 1e-12)
+    if alpha is not None:
+        L = SPECTRAL_EXTENT * s
+        n_req = 2 ** math.ceil(math.log2(max(2.0 * L * _spectral_reach(law) / math.pi, 2.0)))
+        return GridSpec(max(GRID_N, min(n_req, MAX_GRID_N)), L)
     if isinstance(law, Empirical):
         spread = float(np.max(np.abs(law.as_array())))
-        return GridSpec(n=n, half_extent=max(20.0 * s, min(spread * 1.1, 1e4 * s)))
-    return GridSpec(n=n, half_extent=extent_factor * max(s, 1e-12))
+        return GridSpec(GRID_N, max(20.0 * s, min(spread * 1.1, 1e4 * s)))
+    return GridSpec(GRID_N, GRID_EXTENT * s)
 
 
 def realize(law: RandomLaw, grid: GridSpec | None = None) -> GriddedDensity:
     if grid is None:
-        grid = auto_grid(law)
+        grid = plan_grid(law)
     return law._realize_on(grid)
 
 
@@ -418,8 +446,8 @@ def _combine_tails(t1: TailLaw | None, t2: TailLaw | None) -> TailLaw | None:
 
 
 def convolve(f: GriddedDensity, g: GriddedDensity) -> GriddedDensity:
-    """Linear convolution of two symmetric-grid densities via FFT with
-    zero padding.
+    """Linear convolution of two densities on symmetric grids of one
+    spacing via FFT with zero padding.
 
     Both inputs are padded to the power of two at or above
     f.n + g.n - 1, the length of their linear convolution, so nothing
@@ -428,11 +456,7 @@ def convolve(f: GriddedDensity, g: GriddedDensity) -> GriddedDensity:
     back to the larger of the two input extents; the combined tail law
     stands in outside."""
     if not math.isclose(f.h, g.h, rel_tol=1e-12):
-        target = GridSpec(
-            n=max(f.n, g.n), half_extent=max(f.half_extent, g.half_extent)
-        )
-        f = f.resample(target)
-        g = g.resample(target)
+        raise ValueError(f"grid spacings differ: {f.h:g} and {g.h:g}")
     h = f.h
     n_out = 1 << math.ceil(math.log2(f.n + g.n - 1))
 

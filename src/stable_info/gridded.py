@@ -27,8 +27,8 @@ _FLOOR = 1e-300
 class GridSpec:
     """Symmetric uniform grid: n points (power of two) spanning [-L, L)."""
 
-    n: int = 2**16
-    half_extent: float = 200.0
+    n: int
+    half_extent: float
 
     def __post_init__(self):
         if self.n < 2 or self.n & (self.n - 1):
@@ -207,15 +207,6 @@ class GriddedDensity:
         i0, i1 = power_tail_integrals(r, a)
         tail_ent = (1.0 + a) * c_tail * i1 - np.log(c_tail) * c_tail * i0
         return core + 2.0 * tail_ent
-
-    def resample(self, grid: GridSpec) -> "GriddedDensity":
-        """Cubic re-interpolation onto a new grid, renormalized."""
-        xq = grid.points()
-        p = np.exp(self.logpdf(xq))
-        if self.tail is None:
-            p[np.abs(xq) > self.half_extent] = 0.0
-        out = GriddedDensity(xq[0], grid.h, np.clip(p, 0.0, None), self.tail)
-        return out.normalize()
 
 
 def power_tail_integrals(r: float, a: float) -> tuple[float, float]:

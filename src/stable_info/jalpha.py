@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import density as dens
-from . import stable
 from .density import Empirical, Gaussian, Laplace, RandomLaw, SaS, Scaled, Shifted, Sum, Uniform
-from .gridded import GriddedDensity, power_tail_integrals
+from .gridded import _FLOOR, GriddedDensity, power_tail_integrals
 from .report import BoundReport
 
 __all__ = [
@@ -37,14 +36,8 @@ __all__ = [
     "debruijn_check",
 ]
 
-# spectral evaluations benefit from wide grids; the integrand ln p * r
-# has slowly decaying tails that the core integral must mostly capture
-SPECTRAL_EXTENT_FACTOR = 400.0
 DEFAULT_T_FACTORS = (0.2, 0.1, 0.05, 0.025)
 SMOOTHING_ETA = 1e-3
-MAX_SPECTRAL_N = 2**22
-
-_FLOOR = 1e-300
 
 
 @dataclass
@@ -142,46 +135,23 @@ def smooth_for_spectral(law: RandomLaw, alpha: float, gamma_min: float = 0.0) ->
     return Sum(law, Scaled(SaS(alpha, 1.0), gam))
 
 
-def spectral_realization(
-    law: RandomLaw, alpha: float, n: int = stable.DEFAULT_N
-) -> tuple[RandomLaw, GriddedDensity]:
+def spectral_realization(law: RandomLaw, alpha: float) -> tuple[RandomLaw, GriddedDensity]:
     """Pre-smooth a law just enough for the spectral route and realize
-    it on a wide grid.  The smoothing scale is chosen so the smoothed
-    characteristic function has decayed below ~1e-13 at the grid's
-    Nyquist frequency; weaker smoothing leaves ringing in the inverted
-    integrand.  Returns the (possibly smoothed) law and its density.
-
-    Heavy-tailed stable laws have slowly decaying spectra (stretched
-    exponential with small exponent), so for them n is first raised,
-    up to MAX_SPECTRAL_N, until the grid reaches the frequency where
-    the spectral integrand has died out."""
-    if isinstance(law, SaS) and law.alpha < 2:
-        # |w|^alpha exp(-(gamma w)^r) needs w_max ~ 36^(1/r)/gamma
-        w_req = 36.0 ** (1.0 / law.alpha) / law.gamma
-        n_req = 2 ** math.ceil(
-            math.log2(max(2.0 * SPECTRAL_EXTENT_FACTOR * law.gamma * w_req / math.pi, 2.0))
-        )
-        n = max(n, min(n_req, MAX_SPECTRAL_N))
-    w_max = math.pi * n / (2.0 * SPECTRAL_EXTENT_FACTOR * law.scale_hint())
-    gamma_min = 30.0 ** (1.0 / alpha) / w_max
+    it on its spectral grid (density.plan_grid).  The smoothing scale is
+    chosen so the smoothed characteristic function has decayed below
+    ~1e-13 at the grid's Nyquist frequency pi/h; weaker smoothing leaves
+    ringing in the inverted integrand.  Returns the (possibly smoothed)
+    law and its density."""
+    grid = dens.plan_grid(law, alpha)
+    gamma_min = 30.0 ** (1.0 / alpha) * grid.h / math.pi
     law = smooth_for_spectral(law, alpha, gamma_min=gamma_min)
-    grid = dens.auto_grid(law, n=n, extent_factor=SPECTRAL_EXTENT_FACTOR)
     return law, dens.realize(law, grid)
 
 
-def jalpha_of_law(law: RandomLaw, alpha: float, n: int = stable.DEFAULT_N) -> JAlphaEstimate:
-    """Spectral J_alpha of a law, pre-smoothing it when necessary.
-
-    The grid size is doubled, up to MAX_SPECTRAL_N, until the spectral
-    integrand has died out by the frequency cutoff."""
-    while True:
-        _, f = spectral_realization(law, alpha, n)
-        try:
-            return jalpha_spectral(f, alpha)
-        except ArithmeticError:
-            if f.n >= MAX_SPECTRAL_N:
-                raise
-            n = 2 * f.n
+def jalpha_of_law(law: RandomLaw, alpha: float) -> JAlphaEstimate:
+    """Spectral J_alpha of a law, pre-smoothing it when necessary."""
+    _, f = spectral_realization(law, alpha)
+    return jalpha_spectral(f, alpha)
 
 
 def jalpha_finite_diff(

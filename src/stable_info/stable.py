@@ -52,9 +52,6 @@ _TAIL_TERMS = 10
 # carries it to roundoff, about 1e-14 of its size
 _ALIAS_DEGREE = 32
 
-DEFAULT_N = 2**16
-DEFAULT_EXTENT_FACTOR = 200.0
-
 
 @dataclass(frozen=True)
 class StableParams:
@@ -204,10 +201,11 @@ def pdf_grid_sas(alpha: float, gamma: float, grid: GridSpec) -> GriddedDensity:
 
 @functools.lru_cache(maxsize=64)
 def sas_density(alpha: float, gamma: float) -> GriddedDensity:
-    """Cached density on the default grid for (alpha, gamma): DEFAULT_N
-    points, wide enough for the tail handoff at DEFAULT_EXTENT_FACTOR
-    gamma."""
-    return pdf_grid_sas(alpha, gamma, GridSpec(DEFAULT_N, DEFAULT_EXTENT_FACTOR * gamma))
+    """Cached density of S(alpha, gamma) on its default grid."""
+    # density builds its laws on this module, so it is imported here
+    from .density import SaS, plan_grid
+
+    return pdf_grid_sas(alpha, gamma, plan_grid(SaS(alpha, gamma)))
 
 
 def logpdf_sas(alpha: float, gamma: float, x):

