@@ -9,6 +9,7 @@ the tail-corrected quadrature of the grid container.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ GRID_N = 2**16
 GRID_EXTENT = 200.0
 SPECTRAL_EXTENT = 400.0
 MAX_GRID_N = 2**22
+# grid points (8 bytes each) realize() keeps across its cached densities;
+# the newest one is kept even when it alone is larger
+MEMO_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -425,10 +429,27 @@ def plan_grid(law: RandomLaw, alpha: float | None = None) -> GridSpec:
     return GridSpec(GRID_N, GRID_EXTENT * s)
 
 
+_memo: OrderedDict[tuple[RandomLaw, GridSpec], GriddedDensity] = OrderedDict()
+
+
 def realize(law: RandomLaw, grid: GridSpec | None = None) -> GriddedDensity:
+    """The law's density on grid (plan_grid(law) when None).
+
+    Realizations are memoized on (law, grid), least recently used
+    evicted first once their grid points exceed MEMO_POINTS; the
+    returned density is shared, so its values are read-only."""
     if grid is None:
         grid = plan_grid(law)
-    return law._realize_on(grid)
+    key = (law, grid)
+    if key in _memo:
+        _memo.move_to_end(key)
+        return _memo[key]
+    f = _memo[key] = law._realize_on(grid)
+    f.values.flags.writeable = False
+    points = sum(d.n for d in _memo.values())
+    while points > MEMO_POINTS and len(_memo) > 1:
+        points -= _memo.popitem(last=False)[1].n
+    return f
 
 
 def _combine_tails(t1: TailLaw | None, t2: TailLaw | None) -> TailLaw | None:

@@ -114,6 +114,28 @@ class TestGOfP:
         with pytest.raises(ValueError):
             g_of_P(Gaussian(1.0), 1.5, 0.0)
 
+    def test_sweep_realizes_the_law_once(self, sas_calls, monkeypatch):
+        sums = []
+        realize_sum = Sum._realize_on
+
+        def counted(law, grid):
+            sums.append(law)
+            return realize_sum(law, grid)
+
+        monkeypatch.setattr(Sum, "_realize_on", counted)
+        law = Sum(Laplace(1.0), SaS(1.2, 0.5))
+        for p in (0.5, 1.0, 2.0, 4.0):
+            g_of_P(law, 1.2, p)
+        assert sums == [law]
+        assert [c[:2] for c in sas_calls].count((1.2, 0.5)) == 1
+
+    def test_power_table_realizes_each_law_once(self, sas_calls):
+        law = SaS(1.5, 1.0)
+        for alpha in DEFAULT_POWER_ALPHAS:
+            alpha_power(law, alpha)
+        # the other calls realize each alpha's reference law
+        assert [c[:2] for c in sas_calls].count((1.5, 1.0)) == 1
+
 
 def unfolded_g(f, alpha, P):
     """g(P) by the trapezoid rule over the whole accurate region of a

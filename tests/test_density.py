@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stable_info.density import (
+    MEMO_POINTS,
     Cauchy,
     Empirical,
     Gaussian,
@@ -186,3 +187,47 @@ class TestScalingProperties:
         g1 = plan_grid(Gaussian(1.0))
         g2 = plan_grid(Gaussian(c))
         assert g2.half_extent == pytest.approx(c * g1.half_extent, rel=1e-12)
+
+
+_BASE_LAWS = st.one_of(
+    st.builds(SaS, st.floats(1.0, 2.0), st.floats(0.5, 2.0)),
+    st.builds(Laplace, st.floats(0.5, 2.0)),
+    st.builds(Cauchy, st.floats(0.5, 2.0)),
+    st.builds(Uniform, st.floats(0.5, 2.0)),
+)
+_MEMO_LAWS = st.one_of(
+    _BASE_LAWS,
+    st.builds(Shifted, _BASE_LAWS, st.floats(-1.0, 1.0)),
+    st.builds(Scaled, _BASE_LAWS, st.floats(0.3, 3.0) | st.floats(-3.0, -0.3)),
+    st.builds(Sum, _BASE_LAWS, _BASE_LAWS),
+)
+
+
+class TestRealizationMemo:
+    @given(_MEMO_LAWS)
+    @settings(max_examples=30, deadline=None)
+    def test_memo_is_transparent(self, law):
+        grid = GridSpec(2**12, 50.0 * law.scale_hint())
+        f = realize(law, grid)
+        assert realize(law, grid) is f
+        assert np.array_equal(f.values, law._realize_on(grid).values)
+        assert not f.values.flags.writeable
+        with pytest.raises(ValueError):
+            f.values[0] = 1.0
+
+    def test_oldest_evicted_over_budget(self, sas_calls):
+        grid = GridSpec(2**18, 200.0)
+        laws = [SaS(1.5, 1.0 + 0.1 * k) for k in range(MEMO_POINTS // grid.n + 1)]
+        for law in laws:
+            realize(law, grid)
+        assert len(sas_calls) == len(laws)
+        realize(laws[-1], grid)
+        assert len(sas_calls) == len(laws)
+        realize(laws[0], grid)
+        assert len(sas_calls) == len(laws) + 1
+
+    def test_newest_kept_over_budget(self, sas_calls):
+        grid = GridSpec(2 * MEMO_POINTS, 400.0)
+        f = realize(SaS(1.5, 1.0), grid)
+        assert realize(SaS(1.5, 1.0), grid) is f
+        assert len(sas_calls) == 1
