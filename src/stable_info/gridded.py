@@ -9,6 +9,7 @@ tail descriptor carry all their mass on the grid.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,13 +81,17 @@ class TailLaw:
         return 2.0 * m
 
 
+# knots x and coefficient rows c[0..3] (cubic first) of a spline
+_Cubic = namedtuple("_Cubic", "x c")
+
+
 @dataclass
 class GriddedDensity:
     x0: float
     h: float
     values: np.ndarray
     tail: TailLaw | None = None
-    _spline: CubicSpline | None = field(default=None, repr=False, compare=False)
+    _spline: _Cubic | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -143,7 +148,9 @@ class GriddedDensity:
         The spline only covers the contiguous central region where the
         values sit clearly above the FFT/underflow noise floor; a cubic
         fit through noise-level samples oscillates without bound in log
-        space."""
+        space.  scipy's CubicSpline builds it; the knots are uniform, so
+        it is evaluated by direct indexing, interval k = (x - x_lo) // h,
+        summed in PPoly's order c3 + c2 s + c1 s^2 + c0 s^3."""
         if self._spline is None:
             thresh = float(np.max(self.values)) * 1e-14
             i = int(np.argmax(self.values))
@@ -154,15 +161,23 @@ class GriddedDensity:
             hi = int(right[0]) - 1 if right.size else self.n - 1
             sl = slice(lo, hi + 1)
             logp = np.log(np.clip(self.values[sl], _FLOOR, None))
-            self._spline = CubicSpline(self.x[sl], logp, extrapolate=False)
+            knots = self.x[sl]
+            self._spline = _Cubic(knots, CubicSpline(knots, logp, extrapolate=False).c)
         xq = np.asarray(xq, dtype=float)
         scalar = xq.ndim == 0
         xq = np.atleast_1d(xq)
         out = np.empty_like(xq)
-        r = min(self.accurate_radius, self._spline.x[-1])
-        r_lo = max(-r, self._spline.x[0])
+        knots, c = self._spline
+        r = min(self.accurate_radius, knots[-1])
+        r_lo = max(-r, knots[0])
         inside = (xq >= r_lo) & (xq <= r)
-        out[inside] = self._spline(xq[inside])
+        xi = xq[inside]
+        k = np.minimum(((xi - knots[0]) / self.h).astype(np.intp), knots.size - 2)
+        s = xi - knots.take(k)
+        out[inside] = (
+            c[3].take(k) + c[2].take(k) * s + c[1].take(k) * (s * s)
+            + c[0].take(k) * (s * s * s)
+        )
         if self.tail is not None:
             t = np.abs(xq[~inside])
             out[~inside] = np.log(np.clip(self.tail.pdf(t), _FLOOR, None))

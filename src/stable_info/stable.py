@@ -199,13 +199,13 @@ def pdf_grid_sas(alpha: float, gamma: float, grid: GridSpec) -> GriddedDensity:
     return out.normalize()
 
 
-@functools.lru_cache(maxsize=64)
 def sas_density(alpha: float, gamma: float) -> GriddedDensity:
-    """Cached density of S(alpha, gamma) on its default grid."""
+    """Density of S(alpha, gamma) on its default grid, shared through
+    the realization memo of density.realize (read-only values)."""
     # density builds its laws on this module, so it is imported here
-    from .density import SaS, plan_grid
+    from .density import SaS, realize
 
-    return pdf_grid_sas(alpha, gamma, plan_grid(SaS(alpha, gamma)))
+    return realize(SaS(alpha, gamma))
 
 
 def logpdf_sas(alpha: float, gamma: float, x):

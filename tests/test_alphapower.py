@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stable_info import stable
-from stable_info.alphapower import alpha_power, g_of_P
+from stable_info.alphapower import _g_rule, alpha_power, g_of_P
 from stable_info.cli import DEFAULT_POWER_ALPHAS, DEFAULT_POWER_LAWS
 from stable_info.density import (
     Cauchy,
@@ -204,6 +204,43 @@ class TestFoldedRule:
                 alpha_power(law, alpha)
         assert len(DEFAULT_POWER_ALPHAS) * len(DEFAULT_POWER_LAWS) == 40
         assert len(calls) <= 520
+
+
+class TestNodeRule:
+    LAWS = [
+        Gaussian(1.0),
+        Laplace(1.0),
+        Uniform(1.0),
+        Cauchy(1.0),
+        SaS(1.5, 1.0),
+        Sum(Laplace(1.0), SaS(1.2, 0.5)),
+    ]
+
+    @pytest.mark.parametrize("law", LAWS, ids=str)
+    @pytest.mark.parametrize("alpha", [0.4, 1.2, 1.8])
+    def test_trimmed_rule_matches_every_node(self, law, alpha):
+        # the folded trapezoid rule over the accurate region, no node
+        # dropped, and the rule's own tail correction
+        f = realize(law)
+        idx = np.flatnonzero(np.abs(f.x) <= f.accurate_radius)
+        w = f.values[idx] * f.h
+        w[0] /= 2.0
+        w[-1] /= 2.0
+        w = np.bincount(np.abs(idx - f.n // 2), weights=w)
+        y = f.h * np.arange(w.size)
+        rule = _g_rule(law, alpha)
+        gam_ref = stable.reference_gamma(alpha)
+        scale = law.scale_hint()
+        for P in (scale / 50.0, scale, 50.0 * scale):
+            full = -float(w @ stable.logpdf_sas(alpha, gam_ref, y / P))
+            full += rule.c0 - rule.c1 * math.log(P)
+            assert rule(P) == pytest.approx(full, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize(
+        "law,nodes", [(Laplace(1.0), 8355), (Gaussian(1.0), 1651), (Cauchy(1.0), 29492)]
+    )
+    def test_node_counts(self, law, nodes):
+        assert _g_rule(law, 1.2).y.size == nodes
 
 
 class TestEmpiricalRoute:

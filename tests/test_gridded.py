@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
+from stable_info.density import SaS, Uniform, realize
 from stable_info.gridded import GriddedDensity, GridSpec, TailLaw, power_tail_integrals
 from stable_info.stable import _tail_law, sas_density
 
@@ -118,6 +122,46 @@ class TestGriddedDensity:
         assert (f._spline.x[0], f._spline.x[-1]) == (f.x[lo], f.x[hi])
         assert ((lo, hi) == (0, f.n - 1)) == (sigma == 3.0)
         assert (np.min(f.values) == 0.0) == (sigma == 1.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gaussian_grid(sigma=1.0, L=60.0),
+            lambda: realize(SaS(1.2, 1.0)),
+            lambda: realize(Uniform(1.0)),
+        ],
+        ids=["gaussian-short-spline", "sas-whole-grid", "uniform"],
+    )
+    @given(
+        u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
+        v=st.floats(0.0, 1.0),
+        far=st.lists(st.floats(1.0, 3.0), min_size=1, max_size=10),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_logpdf_matches_scipy_spline(self, make, u, v, far):
+        f = make()
+        f.logpdf(0.0)
+        knots = f._spline.x
+        lo = int(np.searchsorted(f.x, knots[0]))
+        logp = np.log(np.clip(f.values[lo : lo + knots.size], 1e-300, None))
+        spline = CubicSpline(knots, logp, extrapolate=False)
+        r = min(f.accurate_radius, knots[-1])
+        r_lo = max(-r, knots[0])
+        xs = np.concatenate([r_lo + (r - r_lo) * np.array(u), knots[::7], [r_lo, r]])
+        xs = xs[(xs >= r_lo) & (xs <= r)]
+        np.testing.assert_allclose(f.logpdf(xs), spline(xs), rtol=0, atol=1e-14)
+        x0 = r_lo + (r - r_lo) * v
+        assert np.ndim(f.logpdf(x0)) == 0
+        assert f.logpdf(x0) == pytest.approx(float(spline(x0)), rel=0, abs=1e-14)
+        # outside the region: the tail law, or the floor without one
+        t = np.array(far) * f.half_extent + r
+        out = np.concatenate([t, -t, [np.nextafter(r, np.inf), np.nextafter(r_lo, -np.inf)]])
+        if f.tail is None:
+            expect = np.full(out.size, np.log(1e-300))
+        else:
+            expect = np.log(np.clip(f.tail.pdf(np.abs(out)), 1e-300, None))
+        assert np.array_equal(f.logpdf(out), expect)
+        assert f.logpdf(np.nan) == np.log(1e-300)
 
     def test_logpdf_beyond_grid_without_tail_is_floored(self):
         f = gaussian_grid()

@@ -6,6 +6,8 @@ from numpy.polynomial import Chebyshev
 from scipy.special import zeta
 from scipy.stats import kstest
 
+from stable_info import density
+from stable_info.density import MEMO_POINTS, SaS, realize
 from stable_info.gridded import GriddedDensity, GridSpec
 from stable_info.specfun import gamma_fn
 from stable_info.stable import (
@@ -190,6 +192,24 @@ class TestAliasCorrection:
         sel = np.abs(f.x) <= f.accurate_radius
         exact = cauchy_pdf(f.x[sel], 1.0)
         assert np.max(np.abs(f.values[sel] / exact - 1.0)) <= 5e-8
+
+
+class TestSharedDensity:
+    def test_is_the_realization(self):
+        assert sas_density(1.5, 1.0) is realize(SaS(1.5, 1.0))
+
+    def test_values_read_only(self):
+        f = sas_density(1.5, 1.0)
+        assert not f.values.flags.writeable
+        with pytest.raises(ValueError):
+            f.values[0] = 1.0
+
+    def test_memo_bounds_many_gammas(self, sas_calls):
+        gammas = [1.0 + 0.05 * k for k in range(20)]
+        for g in gammas:
+            logpdf_sas(1.5, g, 0.3)
+        assert len(sas_calls) == len(gammas)
+        assert sum(f.n for f in density._memo.values()) <= MEMO_POINTS
 
 
 class TestLogpdf:
