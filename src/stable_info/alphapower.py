@@ -36,7 +36,6 @@ class AlphaPowerResult:
     alpha: float
     method: str  # closed_form_alpha2 | closed_form_stable | numeric_root
     residual: float = 0.0
-    bracket: tuple | None = None
 
     @property
     def finite(self) -> bool:
@@ -144,8 +143,8 @@ def _is_point_mass_at_zero(law: RandomLaw) -> bool:
 def alpha_power(law: RandomLaw, alpha: float) -> AlphaPowerResult:
     """Solve g(P) = h(ref) for the alpha-power of a law.
 
-    Returns an infinite-valued result when alpha = 2 and the law has a
-    power tail with exponent below 2 (the second moment diverges).
+    Returns an infinite-valued result when alpha = 2 and the second
+    moment diverges, as it does for any power tail with exponent below 2.
     """
     if not 0 < alpha <= 2:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
@@ -153,9 +152,6 @@ def alpha_power(law: RandomLaw, alpha: float) -> AlphaPowerResult:
         return AlphaPowerResult(0.0, alpha, "closed_form_alpha2")
 
     if alpha == 2:
-        e = law.tail_exponent()
-        if e is not None and e < 2:
-            return AlphaPowerResult(math.inf, alpha, "closed_form_alpha2", math.nan)
         if isinstance(law, Empirical) and _hill_exponent(law.as_array()) < 2:
             return AlphaPowerResult(math.inf, alpha, "closed_form_alpha2", math.nan)
         m2 = law.second_moment()
@@ -200,5 +196,4 @@ def alpha_power(law: RandomLaw, alpha: float) -> AlphaPowerResult:
             f"could not bracket the alpha-power root (alpha={alpha}, law={law})"
         )
     t = brentq(excess, lo, hi, xtol=ROOT_RTOL)
-    bracket = (math.exp(lo), math.exp(hi))
-    return AlphaPowerResult(math.exp(t), alpha, "numeric_root", abs(excess(t)), bracket)
+    return AlphaPowerResult(math.exp(t), alpha, "numeric_root", abs(excess(t)))

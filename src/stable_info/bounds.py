@@ -8,7 +8,6 @@ component, and the isoperimetric lower bound N_alpha J_alpha >= kappa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import jalpha as jmod
 from . import stable
@@ -17,7 +16,6 @@ from .report import BoundReport
 from .specfun import gauss_2f1, kappa_alpha
 
 __all__ = [
-    "EntropyPowerAlpha",
     "entropy_power_alpha",
     "gfii_check",
     "entropy_sum_upper",
@@ -26,19 +24,12 @@ __all__ = [
 ]
 
 
-@dataclass
-class EntropyPowerAlpha:
-    value: float
-    alpha: float
-    d: int
-
-
-def entropy_power_alpha(h: float, alpha: float, d: int = 1) -> EntropyPowerAlpha:
-    """Entropy power of order alpha: exp((alpha/d)(h - h_ref))."""
+def entropy_power_alpha(h: float, alpha: float) -> float:
+    """Entropy power of order alpha of a univariate law with entropy h:
+    exp(alpha (h - h_ref))."""
     if not 1 < alpha <= 2:
         raise ValueError(f"alpha must be in (1, 2], got {alpha}")
-    h_ref = stable.reference_entropy(alpha)
-    return EntropyPowerAlpha(math.exp(alpha / d * (h - h_ref)), alpha, d)
+    return math.exp(alpha * (h - stable.reference_entropy(alpha)))
 
 
 def gfii_check(law1: RandomLaw, law2: RandomLaw, alpha: float) -> BoundReport:
@@ -87,22 +78,23 @@ def entropy_sum_upper(
     )
 
 
-def giie_product(law: RandomLaw, alpha: float, d: int = 1) -> BoundReport:
-    """Isoperimetric product: (1/d) N_alpha(X) J_alpha(X) >= kappa_alpha."""
+def giie_product(law: RandomLaw, alpha: float) -> BoundReport:
+    """Isoperimetric product of a univariate law:
+    N_alpha(X) J_alpha(X) >= kappa_alpha."""
     if not 1 < alpha <= 2:
         raise ValueError(f"alpha must be in (1, 2], got {alpha}")
     _, f = jmod.spectral_realization(law, alpha)
     h = f.entropy()
     j = jmod.jalpha_spectral(f, alpha)
-    n_a = entropy_power_alpha(h, alpha, d).value
-    lhs = n_a * j.value / d
+    n_a = entropy_power_alpha(h, alpha)
+    lhs = n_a * j.value
     rhs = kappa_alpha(alpha)
     return BoundReport(
         name="giie",
         lhs=lhs,
         rhs=rhs,
         slack=lhs - rhs,
-        inputs={"law": repr(law), "alpha": alpha, "d": d},
+        inputs={"law": repr(law), "alpha": alpha},
         method={"entropy": h, "j_alpha": j.value, "n_alpha": n_a},
     )
 

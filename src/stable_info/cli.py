@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -79,41 +80,29 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     return cfg
 
 
+# law spec names: the lower-cased class names
+_LAWS = {cls.__name__.lower(): cls for cls in (Gaussian, Uniform, Laplace, Cauchy, SaS)}
+
+
 def parse_law(spec: str) -> RandomLaw:
     """Law spec strings: gaussian:SIGMA, uniform:A, laplace:B,
-    cauchy:GAMMA, sas:ALPHA:GAMMA."""
-    parts = spec.lower().split(":")
-    name, args = parts[0], [float(p) for p in parts[1:]]
-    try:
-        if name == "gaussian":
-            return Gaussian(args[0] if args else 1.0)
-        if name == "uniform":
-            return Uniform(args[0] if args else 1.0)
-        if name == "laplace":
-            return Laplace(args[0] if args else 1.0)
-        if name == "cauchy":
-            return Cauchy(args[0] if args else 1.0)
-        if name == "sas":
-            if len(args) != 2:
-                raise ValueError("sas law needs alpha and gamma: sas:ALPHA:GAMMA")
-            return SaS(args[0], args[1])
-    except IndexError:
-        raise ValueError(f"bad law spec {spec!r}") from None
-    raise ValueError(f"unknown law {name!r}")
+    cauchy:GAMMA, sas:ALPHA:GAMMA; a one-parameter law defaults to 1."""
+    name, *parts = spec.lower().split(":")
+    if name not in _LAWS:
+        raise ValueError(f"unknown law {name!r}")
+    cls = _LAWS[name]
+    fields = [f.name.upper() for f in dataclasses.fields(cls)]
+    args = [float(p) for p in parts]
+    if not args and len(fields) == 1:
+        args = [1.0]
+    if len(args) != len(fields):
+        raise ValueError(f"bad law spec {spec!r}, expected {name}:{':'.join(fields)}")
+    return cls(*args)
 
 
 def _law_label(law: RandomLaw) -> str:
-    if isinstance(law, Gaussian):
-        return f"gaussian:{law.sigma:g}"
-    if isinstance(law, Uniform):
-        return f"uniform:{law.a:g}"
-    if isinstance(law, Laplace):
-        return f"laplace:{law.b:g}"
-    if isinstance(law, Cauchy):
-        return f"cauchy:{law.gamma:g}"
-    if isinstance(law, SaS):
-        return f"sas:{law.alpha:g}:{law.gamma:g}"
-    return repr(law)
+    """The spec string parse_law reads back into the law."""
+    return ":".join([type(law).__name__.lower(), *(f"{v:g}" for v in dataclasses.astuple(law))])
 
 
 def _emit(cfg: RunConfig, doc, header: list | None = None) -> None:
@@ -170,7 +159,7 @@ def cmd_power_table(args, cfg: RunConfig) -> int:
                 value = "infinite" if not res.finite else f"{res.value:.10g}"
                 residual = "" if not res.finite else f"{res.residual:.3g}"
                 rows.append([a, _law_label(law), value, res.method, residual, ""])
-            except Exception as exc:  # noqa: BLE001 - row-level error reporting
+            except ArithmeticError as exc:
                 rows.append([a, _law_label(law), "", "", "", str(exc)])
                 status = EXIT_NUMERIC
     _emit(cfg, rows, ["alpha", "law", "alpha_power", "method", "residual", "error"])

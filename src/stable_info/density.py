@@ -59,13 +59,6 @@ class RandomLaw:
         """E[X^2]; inf for laws with tail exponent < 2."""
         raise NotImplementedError
 
-    def tail_exponent(self) -> float | None:
-        """Power-law tail exponent, or None for light-tailed laws."""
-        return None
-
-    def sample(self, n: int, seed) -> np.ndarray:
-        raise NotImplementedError
-
     def _pdf(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -96,9 +89,6 @@ class Gaussian(RandomLaw):
     def second_moment(self):
         return self.sigma**2
 
-    def sample(self, n, seed):
-        return np.random.default_rng(seed).normal(0.0, self.sigma, size=n)
-
     def _pdf(self, x):
         s2 = self.sigma**2
         return np.exp(-(x**2) / (2 * s2)) / math.sqrt(2 * math.pi * s2)
@@ -122,9 +112,6 @@ class Uniform(RandomLaw):
 
     def second_moment(self):
         return self.a**2 / 3.0
-
-    def sample(self, n, seed):
-        return np.random.default_rng(seed).uniform(-self.a, self.a, size=n)
 
     def _pdf(self, x):
         return np.where(np.abs(x) <= self.a, 1.0 / (2 * self.a), 0.0)
@@ -157,9 +144,6 @@ class Laplace(RandomLaw):
     def second_moment(self):
         return 2.0 * self.b**2
 
-    def sample(self, n, seed):
-        return np.random.default_rng(seed).laplace(0.0, self.b, size=n)
-
     def _pdf(self, x):
         return np.exp(-np.abs(x) / self.b) / (2 * self.b)
 
@@ -180,12 +164,6 @@ class Cauchy(RandomLaw):
 
     def second_moment(self):
         return math.inf
-
-    def tail_exponent(self):
-        return 1.0
-
-    def sample(self, n, seed):
-        return self.gamma * np.random.default_rng(seed).standard_cauchy(size=n)
 
     def _pdf(self, x):
         return self.gamma / (math.pi * (self.gamma**2 + x**2))
@@ -214,12 +192,6 @@ class SaS(RandomLaw):
     def second_moment(self):
         return 2.0 * self.gamma**2 if self.alpha == 2 else math.inf
 
-    def tail_exponent(self):
-        return None if self.alpha == 2 else self.alpha
-
-    def sample(self, n, seed):
-        return stable.sample_sas(self.alpha, self.gamma, n, seed)
-
     def _realize_on(self, grid):
         return stable.pdf_grid_sas(self.alpha, self.gamma, grid)
 
@@ -239,12 +211,6 @@ class Shifted(RandomLaw):
         m2 = self.law.second_moment()
         m = self.law.mean()
         return m2 + 2 * m * self.delta + self.delta**2
-
-    def tail_exponent(self):
-        return self.law.tail_exponent()
-
-    def sample(self, n, seed):
-        return self.law.sample(n, seed) + self.delta
 
     def _realize_on(self, grid):
         base = realize(self.law, grid)
@@ -272,12 +238,6 @@ class Scaled(RandomLaw):
 
     def second_moment(self):
         return self.c**2 * self.law.second_moment()
-
-    def tail_exponent(self):
-        return self.law.tail_exponent()
-
-    def sample(self, n, seed):
-        return self.c * self.law.sample(n, seed)
 
     def _realize_on(self, grid):
         # p(x/c)/|c| on grid is the inner law on grid/|c|, relabelled;
@@ -318,18 +278,6 @@ class Sum(RandomLaw):
             + 2 * self.law1.mean() * self.law2.mean()
         )
 
-    def tail_exponent(self):
-        e1, e2 = self.law1.tail_exponent(), self.law2.tail_exponent()
-        if e1 is None:
-            return e2
-        if e2 is None:
-            return e1
-        return min(e1, e2)
-
-    def sample(self, n, seed):
-        ss = np.random.SeedSequence(seed).spawn(2)
-        return self.law1.sample(n, ss[0]) + self.law2.sample(n, ss[1])
-
     def _realize_on(self, grid):
         f = realize(self.law1, grid)
         g = realize(self.law2, grid)
@@ -362,9 +310,6 @@ class Empirical(RandomLaw):
 
     def second_moment(self):
         return float(np.mean(self.as_array() ** 2))
-
-    def sample(self, n, seed):
-        return np.random.default_rng(seed).choice(self.as_array(), size=n)
 
     def bandwidth(self) -> float:
         """Silverman-style rule on the interquartile range; variance is

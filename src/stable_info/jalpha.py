@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import density as dens
-from .density import Empirical, Gaussian, Laplace, RandomLaw, SaS, Scaled, Shifted, Sum, Uniform
+from .density import Cauchy, Gaussian, RandomLaw, SaS, Scaled, Shifted, Sum
 from .gridded import _FLOOR, GriddedDensity, power_tail_integrals
 from .report import BoundReport
 
@@ -31,7 +31,6 @@ __all__ = [
     "jalpha_spectral",
     "jalpha_finite_diff",
     "jalpha_of_law",
-    "smooth_for_spectral",
     "spectral_realization",
     "debruijn_check",
 ]
@@ -45,7 +44,6 @@ class JAlphaEstimate:
     value: float
     alpha: float
     method: str  # closed_form_stable | spectral | finite_difference
-    step: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -111,40 +109,30 @@ def jalpha_spectral(f: GriddedDensity, alpha: float) -> JAlphaEstimate:
     )
 
 
-def _is_smooth(law: RandomLaw) -> bool:
-    if isinstance(law, (Gaussian, SaS, dens.Cauchy)):
-        return True
-    if isinstance(law, (Uniform, Laplace, Empirical)):
-        return False
-    if isinstance(law, (Shifted, Scaled)):
-        return _is_smooth(law.law)
-    if isinstance(law, Sum):
-        return _is_smooth(law.law1) or _is_smooth(law.law2)
-    return False
-
-
-def smooth_for_spectral(law: RandomLaw, alpha: float, gamma_min: float = 0.0) -> RandomLaw:
-    """Add a tiny S(alpha, .) perturbation to laws whose characteristic
-    function decays too slowly for the spectral integrand.  gamma_min
-    lets the caller force enough smoothing to kill the spectrum by a
-    known frequency cutoff."""
-    if _is_smooth(law):
-        return law
-    scale = law.scale_hint()
-    gam = max((SMOOTHING_ETA * scale**alpha) ** (1.0 / alpha), gamma_min)
-    return Sum(law, Scaled(SaS(alpha, 1.0), gam))
-
-
 def spectral_realization(law: RandomLaw, alpha: float) -> tuple[RandomLaw, GriddedDensity]:
     """Pre-smooth a law just enough for the spectral route and realize
-    it on its spectral grid (density.plan_grid).  The smoothing scale is
-    chosen so the smoothed characteristic function has decayed below
-    ~1e-13 at the grid's Nyquist frequency pi/h; weaker smoothing leaves
-    ringing in the inverted integrand.  Returns the (possibly smoothed)
-    law and its density."""
+    it on its spectral grid (density.plan_grid).  A law none of whose
+    summands (through shifts and scalings) is Gaussian, stable or
+    Cauchy gets a small S(alpha, gam) added.  gam is chosen so the
+    smoothed characteristic function has decayed below ~1e-13 at the
+    grid's Nyquist frequency pi/h; weaker smoothing leaves ringing in
+    the inverted integrand.  Returns the (possibly smoothed) law and
+    its density."""
+
+    def smooth(x):
+        if isinstance(x, (Shifted, Scaled)):
+            return smooth(x.law)
+        if isinstance(x, Sum):
+            return smooth(x.law1) or smooth(x.law2)
+        return isinstance(x, (Gaussian, SaS, Cauchy))
+
     grid = dens.plan_grid(law, alpha)
-    gamma_min = 30.0 ** (1.0 / alpha) * grid.h / math.pi
-    law = smooth_for_spectral(law, alpha, gamma_min=gamma_min)
+    if not smooth(law):
+        gam = max(
+            (SMOOTHING_ETA * law.scale_hint() ** alpha) ** (1.0 / alpha),
+            30.0 ** (1.0 / alpha) * grid.h / math.pi,
+        )
+        law = Sum(law, Scaled(SaS(alpha, 1.0), gam))
     return law, dens.realize(law, grid)
 
 
@@ -181,7 +169,7 @@ def jalpha_finite_diff(
     t1, t2 = t_sequence[1], t_sequence[0]
     q1, q2 = quotients[1], quotients[0]
     value = (t1 * q2 - t2 * q1) / (t1 - t2)
-    return JAlphaEstimate(value, alpha, "finite_difference", step=t2, diagnostics=diag)
+    return JAlphaEstimate(value, alpha, "finite_difference", diagnostics=diag)
 
 
 def debruijn_check(
@@ -201,9 +189,8 @@ def debruijn_check(
     h_plus = dens.realize(smoothed(eta + d_eta)).entropy()
     h_minus = dens.realize(smoothed(eta - d_eta)).entropy()
     lhs = (h_plus - h_minus) / (2.0 * d_eta)
-    # X_eta is smooth already, so this only picks the spectral grid
-    _, f = spectral_realization(smoothed(eta), alpha)
-    j = jalpha_spectral(f, alpha)
+    # X_eta is smooth already, so no smoothing is added
+    j = jalpha_of_law(smoothed(eta), alpha)
     rhs = gamma**alpha * j.value
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return BoundReport(

@@ -180,9 +180,9 @@ def pdf_grid_sas(alpha: float, gamma: float, grid: GridSpec) -> GriddedDensity:
         stride *= 2
         if grid.n * stride > 2**22:
             raise ValueError(
-                f"grid too coarse for alpha={alpha}, gamma={gamma}: spacing "
-                f"{h:g} leaves characteristic-function mass beyond the Nyquist "
-                "frequency even after refinement; increase n or reduce the extent"
+                f"S(alpha={alpha}, gamma={gamma:g}) cannot be realized at grid "
+                f"spacing {h:g}: its characteristic function keeps mass beyond "
+                "the Nyquist frequency even at the refinement cap of 2^22 points"
             )
     n = grid.n
     w = 2.0 * math.pi * np.fft.rfftfreq(n * stride, d=h / stride)

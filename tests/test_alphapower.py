@@ -34,9 +34,24 @@ class TestClosedFormPaths:
         r = alpha_power(Uniform(3.0), 2.0)
         assert r.value == pytest.approx(3.0 / math.sqrt(3.0), rel=1e-14)
 
-    def test_alpha2_heavy_tail_infinite(self):
-        r = alpha_power(Cauchy(1.0), 2.0)
-        assert not r.finite
+    @pytest.mark.parametrize(
+        "law,expected",
+        [
+            (Cauchy(1.0), math.inf),
+            (SaS(1.5, 1.0), math.inf),
+            (Shifted(Cauchy(1.0), 3.0), math.inf),
+            (Scaled(SaS(1.2, 1.0), -2.0), math.inf),
+            (Sum(Cauchy(1.0), Gaussian(1.0)), math.inf),
+            (Sum(Gaussian(1.0), Uniform(2.0)), math.sqrt(1.0 + 4.0 / 3.0)),
+        ],
+        ids=["cauchy", "sas", "shifted", "scaled", "sum_heavy", "sum_light"],
+    )
+    def test_alpha2_heavy_tail_infinite(self, law, expected):
+        # the second moment alone decides: it is inf for any power tail
+        # with exponent below 2, through every combinator
+        r = alpha_power(law, 2.0)
+        assert r.method == "closed_form_alpha2"
+        assert r.value == pytest.approx(expected, rel=1e-14)
 
     def test_matching_stable(self):
         r = alpha_power(SaS(1.5, 2.0), 1.5)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from stable_info.cli import (
     EXIT_VIOLATION,
     RunConfig,
     load_config,
+    _law_label,
     main,
     parse_law,
 )
@@ -49,6 +51,14 @@ class TestParseLaw:
     def test_sas_needs_two_args(self):
         with pytest.raises(ValueError):
             parse_law("sas:1.5")
+
+    def test_extra_parameter_rejected(self):
+        with pytest.raises(ValueError):
+            parse_law("gaussian:1:2")
+
+    @pytest.mark.parametrize("spec", ["gaussian:2", "uniform:0.5", "cauchy:1", "sas:1.5:2"])
+    def test_label_round_trips(self, spec):
+        assert _law_label(parse_law(spec)) == spec
 
 
 class TestConfig:
@@ -178,6 +188,16 @@ class TestPowerTable:
         doc = json.loads(path.read_text())
         assert doc[0]["law"] == "cauchy:1"
         assert float(doc[0]["alpha_power"]) > 0
+
+    @pytest.mark.parametrize("command", ["power-table", "giie-table"])
+    def test_refused_alpha_exits_config(self, capsys, command):
+        # input the library refuses is a configuration error, not a
+        # numeric failure, in every table
+        alpha = "2.5" if command == "power-table" else "0.9"
+        code, out, err = run_cli(capsys, command, "--alphas", alpha)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "configuration error: alpha must be in" in err and alpha in err
 
     @pytest.mark.parametrize("flag,value", [("--n-points", "4096"), ("--extent-factor", "50")])
     def test_grid_flags_rejected(self, capsys, flag, value):
@@ -354,3 +374,64 @@ class TestSuite:
         assert doc["violations"] == []
         assert doc["results"]["kappa_2_unity"]["pass"]
         assert doc["results"]["giie_mix_bound"]["pass"]
+
+
+SNAPSHOTS = Path(__file__).parent / "data" / "cli"
+# snapshot file -> command line; each file is the command's stdout
+SNAPSHOT_COMMANDS = {
+    "power-table.csv": ["power-table"],
+    "jalpha-table.csv": ["jalpha-table"],
+    "giie-table.csv": ["giie-table"],
+    "giie-mix.csv": ["giie-mix"],
+    "sum-bound.csv": ["sum-bound"],
+    "debruijn-check.json": ["debruijn-check"],
+    "capacity.json": ["capacity", "--alpha", "1.8", "--gamma-n", "1", "--A", "3"],
+    "crb-bench.json": ["crb-bench", "--trials", "2000"],
+}
+
+
+def _same_cell(got, want) -> bool:
+    """Text exactly; numbers to relative 1e-8, since alpha-power roots
+    are solved to 1e-9 in ln P."""
+    if isinstance(want, str):
+        try:
+            want_num = float(want)
+        except ValueError:
+            return got == want
+        return math.isclose(float(got), want_num, rel_tol=1e-8)
+    return math.isclose(got, want, rel_tol=1e-8)
+
+
+def _same_json(got, want) -> bool:
+    if isinstance(want, dict):
+        return (
+            isinstance(got, dict)
+            and got.keys() == want.keys()
+            and all(_same_json(got[k], want[k]) for k in want)
+        )
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(_same_json, got, want))
+    return type(got) is type(want) and _same_cell(got, want)
+
+
+class TestSnapshots:
+    """The printed numbers are the contract: default stdout of each
+    command against its recorded snapshot."""
+
+    @pytest.mark.parametrize("name", list(SNAPSHOT_COMMANDS))
+    def test_stdout_matches_snapshot(self, capsys, name):
+        code, out, _ = run_cli(capsys, *SNAPSHOT_COMMANDS[name])
+        assert code == EXIT_OK
+        want = (SNAPSHOTS / name).read_text()
+        if name.endswith(".json"):
+            assert _same_json(json.loads(out), json.loads(want))
+            return
+        header, rows = read_csv(out)
+        want_header, want_rows = read_csv(want)
+        assert header == want_header
+        assert len(rows) == len(want_rows)
+        # the root residual is roundoff-level: its digits are not a result
+        kept = [i for i, col in enumerate(header) if col != "residual"]
+        for row, want_row in zip(rows, want_rows):
+            assert len(row) == len(want_row)
+            assert all(_same_cell(row[i], want_row[i]) for i in kept), (row, want_row)

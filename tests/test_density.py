@@ -115,9 +115,7 @@ class TestSum:
         assert law.second_moment() == pytest.approx(1.0 + 4.0 / 3.0, rel=1e-12)
 
     def test_tail_inherited_from_heavy_component(self):
-        law = Sum(Cauchy(1.0), Gaussian(1.0))
-        assert law.tail_exponent() == 1.0
-        f = realize(law)
+        f = realize(Sum(Cauchy(1.0), Gaussian(1.0)))
         assert f.tail is not None and f.tail.exponent == 1.0
 
 
@@ -167,11 +165,6 @@ class TestEmpirical:
         law = Empirical(tuple(rng.normal(0.0, 1.0, size=20000)))
         h = realize(law).entropy()
         assert h == pytest.approx(0.5 * math.log(2 * math.pi * math.e), abs=0.03)
-
-    def test_sample_resamples_data(self):
-        law = Empirical((1.0, 2.0, 3.0))
-        s = law.sample(100, seed=0)
-        assert set(np.unique(s)) <= {1.0, 2.0, 3.0}
 
 
 class TestScalingProperties:

@@ -21,7 +21,6 @@ from stable_info.jalpha import (
     jalpha_finite_diff,
     jalpha_of_law,
     jalpha_spectral,
-    smooth_for_spectral,
     spectral_realization,
 )
 
@@ -119,10 +118,10 @@ class TestSpectral:
 class TestSmoothing:
     def test_smooth_laws_untouched(self):
         law = SaS(1.5, 1.0)
-        assert smooth_for_spectral(law, 1.5) is law
+        assert spectral_realization(law, 1.5)[0] is law
 
     def test_rough_laws_wrapped(self):
-        out = smooth_for_spectral(Uniform(1.0), 1.5)
+        out = spectral_realization(Uniform(1.0), 1.5)[0]
         assert isinstance(out, Sum)
 
     def test_spectral_realization_passes_guard(self):

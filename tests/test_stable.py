@@ -138,9 +138,14 @@ class TestDensity:
             assert inside == pytest.approx(outside, abs=1e-4)
 
     def test_grid_too_coarse_raises(self):
-        # refinement is capped; a scale far below the spacing still fails
-        with pytest.raises(ValueError):
+        # refinement is capped; a scale far below the spacing still fails,
+        # and the message names what failed rather than a grid knob
+        with pytest.raises(ValueError) as err:
             pdf_grid_sas(1.5, 1e-4, GridSpec(n=2**12, half_extent=500.0))
+        msg = str(err.value)
+        assert "alpha=1.5" in msg and "gamma=0.0001" in msg
+        assert "spacing 0.244141" in msg and "2^22 points" in msg
+        assert "increase n" not in msg
 
     def test_small_alpha_warns(self):
         with pytest.warns(UserWarning):
