@@ -68,8 +68,9 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
 
     p_ref is even, so x and -x share the node |x| (for any law, even or
     not): on a realized density the weights are the trapezoid weights
-    over the accurate region folded onto |x|, for samples every weight
-    is 1/N.  Of the N folded nodes, those with weight below
+    over the accurate region, folded onto |x| when x and -x are both
+    nodes (the grid is centered at 0), for samples every weight is 1/N.
+    Of the N nodes, those with weight below
     1e-17 / (700 N) are dropped: logpdf is floor-clamped, so
     |ln p_ref| <= |ln 1e-300| < 700 and the dropped terms together move
     g by less than 1e-17, eight orders below ROOT_RTOL.  Light tails
@@ -79,15 +80,17 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
         s = law.as_array()
         return _GRule(alpha, np.sort(np.abs(s)), np.full(s.size, 1.0 / s.size))
     f = dens.realize(law)
-    r = f.accurate_radius
-    # the grid is symmetric: x[n // 2 + k] = k h
-    idx = np.flatnonzero(np.abs(f.x) <= r)
-    w = f.values[idx] * f.h
+    w = f.values[f.core] * f.h
     w[0] /= 2.0
     w[-1] /= 2.0
-    w = np.bincount(np.abs(idx - f.n // 2), weights=w)
+    if f.center == 0:
+        # x[n // 2 + k] = k h
+        w = np.bincount(np.abs(np.arange(f.core.start, f.core.stop) - f.n // 2), weights=w)
+        y = f.h * np.arange(w.size)
+    else:
+        y = np.abs(f.x[f.core])
     keep = np.flatnonzero(w >= 1e-17 / (700.0 * w.size))
-    y, w = f.h * keep, w[keep]
+    y, w = y[keep], w[keep]
     rule = None if alpha == 2 else f.tail_rule()
     if rule is None:
         return _GRule(alpha, y, w)

@@ -78,12 +78,9 @@ def cost_function(x: float, P: float, alpha: float, gamma_N: float) -> float:
         raise ValueError("P must be positive")
     gam_ref = stable.reference_gamma(alpha)
     f = stable.sas_density(alpha, gamma_N)
-    r = f.accurate_radius
-    xs = f.x
-    sel = np.abs(xs) <= r
     core = float(
         np.trapezoid(
-            f.values[sel] * (-stable.logpdf_sas(alpha, gam_ref, (x + xs[sel]) / P)),
+            f.values[f.core] * (-stable.logpdf_sas(alpha, gam_ref, (x + f.x[f.core]) / P)),
             dx=f.h,
         )
     )

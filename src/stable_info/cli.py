@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import bounds, capacity, estimate, jalpha, stable
 from .alphapower import alpha_power
-from .density import Cauchy, Gaussian, Laplace, RandomLaw, SaS, Uniform, convolve, realize
+from .density import Cauchy, Gaussian, Laplace, RandomLaw, SaS, Sum, Uniform, realize
 from .gridded import GridSpec
 from .specfun import kappa_alpha
 
@@ -214,12 +214,12 @@ def cmd_sum_bound(args, cfg: RunConfig) -> int:
     rows = []
     status = EXIT_OK
     for law in args.laws:
-        _, f = jalpha.spectral_realization(law, alpha)
+        law_s, f = jalpha.spectral_realization(law, alpha)
         h_x = f.entropy()
         j_x = jalpha.jalpha_spectral(f, alpha).value
         h_bound = bounds.entropy_sum_upper(h_x, j_x, alpha, gamma)
-        z = realize(SaS(alpha, gamma), GridSpec(f.n, f.half_extent))
-        h_num = convolve(f, z).entropy()
+        law_z = Sum(law_s, SaS(alpha, gamma))
+        h_num = realize(law_z, GridSpec(f.n, f.half_extent)).entropy()
         slack = h_bound - h_num
         rows.append(
             [_law_label(law), alpha, gamma, f"{h_num:.10g}", f"{h_bound:.10g}", f"{slack:.6g}"]

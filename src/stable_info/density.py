@@ -213,12 +213,9 @@ class Shifted(RandomLaw):
         return m2 + 2 * m * self.delta + self.delta**2
 
     def _realize_on(self, grid):
+        # the inner law's density with its grid moved by delta
         base = realize(self.law, grid)
-        x = grid.points()
-        p = np.exp(base.logpdf(x - self.delta))
-        return GriddedDensity(
-            float(x[0]), grid.h, np.clip(p, 0.0, None), base.tail
-        ).normalize()
+        return GriddedDensity(base.x0 + self.delta, base.h, base.values, base.tail)
 
 
 @dataclass(frozen=True)
@@ -240,9 +237,9 @@ class Scaled(RandomLaw):
         return self.c**2 * self.law.second_moment()
 
     def _realize_on(self, grid):
-        # p(x/c)/|c| on grid is the inner law on grid/|c|, relabelled;
-        # for c < 0 the value at x is the inner one at -x, the mirror
-        # index n - k, with -L standing in for the off-grid point +L
+        # p(x/c)/|c| on grid is the inner law on grid/|c|, relabelled
+        # about c times its center; for c < 0 the value at index k is the
+        # inner one at the mirror index n - k, index 0 standing in for n
         c = abs(self.c)
         base = realize(self.law, GridSpec(grid.n, grid.half_extent / c))
         values = base.values / c
@@ -255,7 +252,7 @@ class Scaled(RandomLaw):
                 base.tail.coefficient * c**base.tail.exponent,
                 tuple((ek, ck * c**ek) for ek, ck in base.tail.extra),
             )
-        return GriddedDensity(-grid.half_extent, grid.h, values, tail)
+        return GriddedDensity(self.c * base.center - grid.half_extent, grid.h, values, tail)
 
 
 @dataclass(frozen=True)
@@ -412,8 +409,8 @@ def _combine_tails(t1: TailLaw | None, t2: TailLaw | None) -> TailLaw | None:
 
 
 def convolve(f: GriddedDensity, g: GriddedDensity) -> GriddedDensity:
-    """Linear convolution of two densities on symmetric grids of one
-    spacing via FFT with zero padding.
+    """Linear convolution of two densities on grids of one spacing via
+    FFT with zero padding, centered at the sum of their centers.
 
     Both inputs are padded to the power of two at or above
     f.n + g.n - 1, the length of their linear convolution, so nothing
@@ -438,7 +435,7 @@ def convolve(f: GriddedDensity, g: GriddedDensity) -> GriddedDensity:
     n_keep = max(f.n, g.n)
     i0 = n_out // 2 - n_keep // 2
     vals = conv[i0 : i0 + n_keep]
-    x0 = -(n_keep // 2) * h
+    x0 = f.center + g.center - (n_keep // 2) * h
     out = GriddedDensity(
         x0, h, np.clip(vals, 0.0, None), _combine_tails(f.tail, g.tail)
     )

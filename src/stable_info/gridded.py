@@ -1,24 +1,25 @@
 """Uniform-grid density containers shared by all numeric modules.
 
-A GriddedDensity is a symmetric uniform grid of density values plus an
-optional power-law tail descriptor.  Heavy-tailed laws cannot put all
-their mass on any finite grid, so the normalization convention is:
-grid trapezoid mass plus analytic tail mass equals 1.  Laws without a
-tail descriptor carry all their mass on the grid.
+A GriddedDensity is a uniform grid of density values, symmetric about
+its center, plus an optional power-law tail descriptor.  Heavy-tailed
+laws cannot put all their mass on any finite grid, so the normalization
+convention is: grid trapezoid mass plus analytic tail mass equals 1.
+Laws without a tail descriptor carry all their mass on the grid.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 __all__ = ["GridSpec", "TailLaw", "GriddedDensity", "power_tail_integrals"]
 
-# fraction of the half-extent treated as grid-accurate; beyond it the
-# tail descriptor takes over in entropy/log-density queries
+# fraction of the half-extent, about the center, treated as
+# grid-accurate; beyond it the tail descriptor takes over
 ACCURATE_FRACTION = 0.9
 
 _FLOOR = 1e-300
@@ -108,42 +109,52 @@ class GriddedDensity:
 
     @property
     def half_extent(self) -> float:
-        return -self.x0
+        return self.n * self.h / 2.0
+
+    @property
+    def center(self) -> float:
+        """The point the grid is symmetric about: x[n // 2]."""
+        return self.x0 + self.half_extent
 
     @property
     def accurate_radius(self) -> float:
         if self.tail is None:
-            return self.x[-1]
+            return self.half_extent - self.h
         return ACCURATE_FRACTION * self.half_extent
+
+    @cached_property
+    def core(self) -> slice:
+        """Grid points within accurate_radius of the center, by index."""
+        off = np.abs(np.arange(self.n) - self.n // 2) * self.h
+        k = np.flatnonzero(off <= self.accurate_radius)
+        return slice(int(k[0]), int(k[-1]) + 1)
 
     def grid_mass(self) -> float:
         return float(np.trapezoid(self.values, dx=self.h))
 
-    def mass_within(self, r: float) -> float:
-        sel = np.abs(self.x) <= r
-        return float(np.trapezoid(self.values[sel], dx=self.h))
+    def core_mass(self) -> float:
+        return float(np.trapezoid(self.values[self.core], dx=self.h))
 
     def total_mass(self) -> float:
         if self.tail is None:
             return self.grid_mass()
-        r = self.accurate_radius
-        return self.mass_within(r) + self.tail.mass_beyond(r)
+        return self.core_mass() + self.tail.mass_beyond(self.accurate_radius)
 
     def normalize(self) -> "GriddedDensity":
         """Rescale grid values so total mass (grid + tail) is 1."""
         if self.tail is None:
             return GriddedDensity(self.x0, self.h, self.values / self.grid_mass())
-        r = self.accurate_radius
-        target = 1.0 - self.tail.mass_beyond(r)
+        target = 1.0 - self.tail.mass_beyond(self.accurate_radius)
         if target <= 0:
             raise ValueError("tail mass exceeds 1; grid too narrow")
         return GriddedDensity(
-            self.x0, self.h, self.values * (target / self.mass_within(r)), self.tail
+            self.x0, self.h, self.values * (target / self.core_mass()), self.tail
         )
 
     def logpdf(self, xq) -> np.ndarray:
         """Log-density: cubic interpolation inside the accurate region,
-        tail formula outside (floor-clamped when no tail law).
+        tail formula at the distance from the center outside
+        (floor-clamped when no tail law).
 
         The spline only covers the contiguous central region where the
         values sit clearly above the FFT/underflow noise floor; a cubic
@@ -168,9 +179,10 @@ class GriddedDensity:
         xq = np.atleast_1d(xq)
         out = np.empty_like(xq)
         knots, c = self._spline
-        r = min(self.accurate_radius, knots[-1])
-        r_lo = max(-r, knots[0])
-        inside = (xq >= r_lo) & (xq <= r)
+        d = xq - self.center
+        r = min(self.accurate_radius, knots[-1] - self.center)
+        r_lo = max(-r, knots[0] - self.center)
+        inside = (d >= r_lo) & (d <= r)
         xi = xq[inside]
         k = np.minimum(((xi - knots[0]) / self.h).astype(np.intp), knots.size - 2)
         s = xi - knots.take(k)
@@ -179,7 +191,7 @@ class GriddedDensity:
             + c[0].take(k) * (s * s * s)
         )
         if self.tail is not None:
-            t = np.abs(xq[~inside])
+            t = np.abs(d[~inside])
             out[~inside] = np.log(np.clip(self.tail.pdf(t), _FLOOR, None))
         else:
             out[~inside] = np.log(_FLOOR)
@@ -199,7 +211,7 @@ class GriddedDensity:
         if self.tail is None:
             return None
         r = self.accurate_radius
-        m_side = (1.0 - self.mass_within(r)) / 2.0
+        m_side = (1.0 - self.core_mass()) / 2.0
         if m_side <= 0:
             return None
         a = self.tail.exponent
@@ -210,9 +222,7 @@ class GriddedDensity:
 
         Trapezoid quadrature of -p ln p over the accurate region, plus
         the closed-form entropy of the mass-consistent tail."""
-        r = self.accurate_radius
-        sel = np.abs(self.x) <= r
-        p = np.clip(self.values[sel], _FLOOR, None)
+        p = np.clip(self.values[self.core], _FLOOR, None)
         core = -float(np.trapezoid(p * np.log(p), dx=self.h))
         rule = self.tail_rule()
         if rule is None:

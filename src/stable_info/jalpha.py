@@ -60,8 +60,8 @@ def jalpha_spectral(f: GriddedDensity, alpha: float) -> JAlphaEstimate:
     """Spectral route: J_alpha = int ln p(x) F^-1[|w|^alpha phi(-w)](x) dx.
 
     phi is recovered from the grid by a real FFT (rfft), complex for
-    laws that are not symmetric about 0, and |w|^alpha phi is inverted
-    on the half spectrum by irfft; the product is the fractional
+    laws not symmetric about the grid center, and |w|^alpha phi is
+    inverted on the half spectrum by irfft; the product is the fractional
     Laplacian of p for any law.  The ln p factor uses the clamped grid
     log-density.  Integration runs over the grid-accurate region; the
     truncated tail contribution is small when the grid extent is
@@ -85,11 +85,9 @@ def jalpha_spectral(f: GriddedDensity, alpha: float) -> JAlphaEstimate:
             "or use the finite-difference evaluator"
         )
     r_fun = np.fft.fftshift(np.fft.irfft(m, n)) / h
-    lp = np.log(np.clip(f.values, _FLOOR, None))
-    R = f.accurate_radius
-    sel = np.abs(f.x) <= R
-    val = float(np.trapezoid(lp[sel] * r_fun[sel], dx=h))
-    # two-sided mass of the mass-consistent tail beyond R
+    lp = np.log(np.clip(f.values[f.core], _FLOOR, None))
+    val = float(np.trapezoid(lp * r_fun[f.core], dx=h))
+    # two-sided mass of the mass-consistent tail beyond the core
     rule = f.tail_rule()
     tail_mass = 0.0 if rule is None else 2.0 * rule[2] * power_tail_integrals(*rule[:2])[0]
     if val < -1e-4:

@@ -179,7 +179,7 @@ def pdf_grid_sas(alpha: float, gamma: float, grid: GridSpec) -> GriddedDensity:
     while (gamma * math.pi / (h / stride)) ** alpha < 27.0:
         stride *= 2
         if grid.n * stride > 2**22:
-            raise ValueError(
+            raise ArithmeticError(
                 f"S(alpha={alpha}, gamma={gamma:g}) cannot be realized at grid "
                 f"spacing {h:g}: its characteristic function keeps mass beyond "
                 "the Nyquist frequency even at the refinement cap of 2^22 points"

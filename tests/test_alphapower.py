@@ -164,7 +164,7 @@ def unfolded_g(f, alpha, P):
             dx=f.h,
         )
     )
-    m_side = (1.0 - f.mass_within(r)) / 2.0
+    m_side = (1.0 - f.core_mass()) / 2.0
     if f.tail is None or m_side <= 0:
         return core
     a = f.tail.exponent

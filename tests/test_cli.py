@@ -10,6 +10,7 @@ from stable_info.capacity import ChannelSpec, capacity_stable
 from stable_info.cli import (
     CONFIG_ENV_VAR,
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VIOLATION,
     RunConfig,
@@ -199,6 +200,19 @@ class TestPowerTable:
         assert out == ""
         assert "configuration error: alpha must be in" in err and alpha in err
 
+    def test_refinement_cap_is_a_row_error(self, capsys):
+        # S(0.2, .) of the reference law needs more than the 2^22-point
+        # refinement cap: a numeric failure, and the table still prints
+        with pytest.warns(UserWarning, match="alpha=0.2 < 0.3"):
+            code, out, err = run_cli(
+                capsys, "power-table", "--alphas", "0.2,2.0", "--laws", "gaussian:1"
+            )
+        assert code == EXIT_NUMERIC
+        _, rows = read_csv(out)
+        assert "refinement cap of 2^22 points" in rows[0][5]
+        assert float(rows[1][2]) == pytest.approx(1.0, rel=1e-12)
+        assert "configuration error" not in err
+
     @pytest.mark.parametrize("flag,value", [("--n-points", "4096"), ("--extent-factor", "50")])
     def test_grid_flags_rejected(self, capsys, flag, value):
         code, out, err = run_cli(
@@ -237,6 +251,14 @@ class TestBoundCommands:
         assert code == EXIT_OK
         _, rows = read_csv(out)
         assert float(rows[0][2]) >= kappa_alpha(1.2)
+
+    def test_giie_table_refinement_cap_exits_numeric(self, capsys):
+        # S(0.3, .) is a law the API accepts, but its spectrum needs more
+        # than the 2^22-point refinement cap: exit 3, not a config error
+        code, out, err = run_cli(capsys, "giie-table", "--alphas", "1.5", "--rs", "0.3")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numeric failure: ") and "refinement cap of 2^22 points" in err
 
     def test_giie_mix_small_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "giie-mix", "--sigmas", "0,2.5")
@@ -387,6 +409,7 @@ SNAPSHOT_COMMANDS = {
     "debruijn-check.json": ["debruijn-check"],
     "capacity.json": ["capacity", "--alpha", "1.8", "--gamma-n", "1", "--A", "3"],
     "crb-bench.json": ["crb-bench", "--trials", "2000"],
+    "suite.json": ["suite"],
 }
 
 

@@ -72,7 +72,30 @@ class TestClosedFormRealizations:
     def test_shifted_entropy_invariant(self):
         h0 = realize(Laplace(1.0)).entropy()
         h1 = realize(Shifted(Laplace(1.0), 3.0)).entropy()
-        assert h1 == pytest.approx(h0, abs=1e-6)
+        assert h1 == h0
+
+    @pytest.mark.parametrize("law", [SaS(1.5, 1.0), Cauchy(1.0), Laplace(1.0), Uniform(1.0)])
+    def test_far_shift_keeps_entropy(self, law):
+        # the grid moves with the law, so no mass leaves it
+        assert realize(Shifted(law, 1000.0)).entropy() == realize(law).entropy()
+
+    def test_shift_moves_the_grid(self, monkeypatch):
+        def resample(self, xq):
+            raise AssertionError("a shift resampled its inner density")
+
+        def mean(f):
+            return float(np.trapezoid(f.x * f.values, dx=f.h))
+
+        monkeypatch.setattr(GriddedDensity, "logpdf", resample)
+        base = realize(Laplace(0.37))
+        f = realize(Shifted(Laplace(0.37), 2.5))
+        assert f.values is base.values and f.tail is base.tail
+        np.testing.assert_allclose(f.x, base.x + 2.5, rtol=0, atol=1e-12)
+        # the combinators place a shifted density by its center
+        m = realize(Scaled(Shifted(Laplace(0.37), 2.5), -2.0))
+        assert mean(m) == pytest.approx(-5.0, abs=1e-8)
+        g = realize(Sum(Shifted(Laplace(0.37), 2.5), Shifted(Gaussian(0.37), -1.0)))
+        assert mean(g) == pytest.approx(1.5, abs=1e-8)
 
     def test_scaled_entropy_shift(self):
         c = 2.5

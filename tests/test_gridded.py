@@ -187,7 +187,7 @@ class TestTailRule:
         r, a, c_eff = f.tail_rule()
         assert (r, a) == (f.accurate_radius, 1.5)
         i0, _ = power_tail_integrals(r, a)
-        assert 2.0 * c_eff * i0 == pytest.approx(1.0 - f.mass_within(r), rel=1e-12)
+        assert 2.0 * c_eff * i0 == pytest.approx(1.0 - f.core_mass(), rel=1e-12)
 
     def test_no_rule_without_tail(self):
         assert gaussian_grid().tail_rule() is None

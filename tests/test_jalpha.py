@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stable_info.density import (
+    Cauchy,
     Gaussian,
     Laplace,
     SaS,
@@ -101,7 +103,7 @@ class TestSpectral:
     def test_shift_invariance(self, case, delta):
         law, alpha = case
         j0 = jalpha_of_law(law, alpha).value
-        assert jalpha_of_law(Shifted(law, delta), alpha).value == pytest.approx(j0, rel=1e-5)
+        assert jalpha_of_law(Shifted(law, delta), alpha).value == j0
 
     def test_heavy_stable_in_combinator_gets_planned_n(self):
         # Scaled(SaS(0.6, 0.5), 2) is SaS(0.6, 1): both get 2^17 points
@@ -186,3 +188,41 @@ class TestMonotonicity:
         for i in range(len(rs)):
             vals = [table[a][i] for a in alphas]
             assert all(vals[j] > vals[j + 1] for j in range(len(vals) - 1))
+
+
+# (law, alpha) pairs; J_alpha of a Gaussian is finite only at alpha = 2
+SHIFT_LAWS = [
+    (SaS(1.5, 1.0), 1.5),
+    (Laplace(1.0), 1.5),
+    (Cauchy(1.0), 1.5),
+    (Uniform(1.0), 1.5),
+    (Sum(Laplace(1.0), SaS(1.2, 0.5)), 1.5),
+    (Gaussian(1.0), 2.0),
+    (SaS(0.6, 1.0), 1.5),
+    (Scaled(SaS(1.2, 1.0), -2.0), 1.5),
+]
+
+
+@functools.cache
+def unshifted(law, alpha):
+    return realize(law).entropy(), jalpha_of_law(law, alpha).value
+
+
+class TestShiftInvariance:
+    """A shifted law is its inner law's realization on a moved grid, so
+    h and J_alpha do not change at all."""
+
+    @pytest.mark.parametrize("law,alpha", SHIFT_LAWS, ids=[repr(c[0]) for c in SHIFT_LAWS])
+    @given(delta=st.floats(min_value=-1e3, max_value=1e3))
+    @settings(max_examples=10, deadline=None)
+    def test_entropy_and_jalpha_are_exact(self, law, alpha, delta):
+        h, j = unshifted(law, alpha)
+        assert realize(Shifted(law, delta)).entropy() == h
+        assert jalpha_of_law(Shifted(law, delta), alpha).value == j
+
+    def test_heavy_stable_shift_is_finite(self):
+        # resampling the sharp peak of S(0.6, 1) through a spline left
+        # |w|^1.5 phi undecayed at the Nyquist edge, and this raised
+        law = SaS(0.6, 1.0)
+        assert jalpha_of_law(Shifted(law, 0.5), 1.5).value == jalpha_of_law(law, 1.5).value
+

@@ -139,8 +139,9 @@ class TestDensity:
 
     def test_grid_too_coarse_raises(self):
         # refinement is capped; a scale far below the spacing still fails,
-        # and the message names what failed rather than a grid knob
-        with pytest.raises(ValueError) as err:
+        # as a numeric failure, and the message names what failed rather
+        # than a grid knob
+        with pytest.raises(ArithmeticError) as err:
             pdf_grid_sas(1.5, 1e-4, GridSpec(n=2**12, half_extent=500.0))
         msg = str(err.value)
         assert "alpha=1.5" in msg and "gamma=0.0001" in msg
@@ -149,7 +150,7 @@ class TestDensity:
 
     def test_small_alpha_warns(self):
         with pytest.warns(UserWarning):
-            with pytest.raises(ValueError):
+            with pytest.raises(ArithmeticError):
                 pdf_grid_sas(0.25, 1.0, GridSpec(2**16, 200.0))
 
 
