@@ -34,13 +34,13 @@ class ChannelSpec:
     def __post_init__(self):
         if not 0 < self.alpha <= 2:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not self.gamma_N > 0:
-            raise ValueError("gamma_N must be positive")
+        if not 0 < self.gamma_N < math.inf:
+            raise ValueError("gamma_N must be positive and finite")
         if self.d < 1:
             raise ValueError("d must be a positive integer")
-        if self.A < noise_alpha_power(self.alpha, self.gamma_N) * (1 - 1e-12):
+        if not noise_alpha_power(self.alpha, self.gamma_N) * (1 - 1e-12) <= self.A < math.inf:
             raise ValueError(
-                "output power cap A must be at least the noise alpha-power "
+                "output power cap A must be finite and at least the noise alpha-power "
                 f"{noise_alpha_power(self.alpha, self.gamma_N):.6g}"
             )
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Emits the figure tables as CSV, runs bound checks and estimator
-benchmarks, and exposes the numeric configuration.  Exit codes:
+Emits the figure tables as CSV and runs bound checks and estimator
+benchmarks; the command line is its only input.  Exit codes:
 0 success, 1 bound violation, 2 configuration error, 3 numeric failure.
 """
 
@@ -13,71 +13,32 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 
 from . import bounds, capacity, estimate, jalpha, stable
 from .alphapower import alpha_power
 from .density import Cauchy, Gaussian, Laplace, RandomLaw, SaS, Sum, Uniform, realize
 from .gridded import GridSpec
+from .report import SLACK_TOL
 from .specfun import kappa_alpha
 
-__all__ = ["main", "RunConfig", "load_config"]
-
-CONFIG_ENV_VAR = "STABLE_INFO_CONFIG"
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-
-@dataclass
-class RunConfig:
-    slack_tol: float = 1e-3
-    seed: int = 12345
-    format: str = "csv"
-    path: str | None = None
-
-    def validate(self):
-        if not self.slack_tol > 0:
-            raise ValueError("slack_tol must be positive")
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
+# the seed of crb-bench when --seed is not given, and of the suite
+DEFAULT_SEED = 12345
 
 
-_CONFIG_TYPES = {
-    "slack_tol": float,
-    "seed": int,
-    "format": str,
-    "path": str,
-}
-
-
-def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Flat key=value config file, then explicit overrides on top."""
-    cfg = RunConfig()
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"bad config line: {line!r}")
-                key, _, raw = line.partition("=")
-                key = key.strip()
-                if key not in _CONFIG_TYPES:
-                    raise ValueError(f"unknown config key: {key!r}")
-                setattr(cfg, key, _CONFIG_TYPES[key](raw.strip()))
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            setattr(cfg, key, val)
-    cfg.validate()
-    return cfg
+def finite(text: str) -> float:
+    """argparse type: a finite number."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
 
 
 # law spec names: the lower-cased class names
@@ -92,7 +53,7 @@ def parse_law(spec: str) -> RandomLaw:
         raise ValueError(f"unknown law {name!r}")
     cls = _LAWS[name]
     fields = [f.name.upper() for f in dataclasses.fields(cls)]
-    args = [float(p) for p in parts]
+    args = [finite(p) for p in parts]
     if not args and len(fields) == 1:
         args = [1.0]
     if len(args) != len(fields):
@@ -105,11 +66,11 @@ def _law_label(law: RandomLaw) -> str:
     return ":".join([type(law).__name__.lower(), *(f"{v:g}" for v in dataclasses.astuple(law))])
 
 
-def _emit(cfg: RunConfig, doc, header: list | None = None) -> None:
-    """Write to the configured path or stdout: a table of rows under
-    header as CSV (as a list of records when format=json), or, without
-    a header, the JSON document doc."""
-    if header is None or cfg.format == "json":
+def _emit(args, doc, header: list | None = None) -> None:
+    """Write to --output or stdout: a table of rows under header as CSV
+    (as a list of records with --format json), or, without a header,
+    the JSON document doc."""
+    if header is None or args.format == "json":
         if header is not None:
             doc = [dict(zip(header, r)) for r in doc]
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -119,24 +80,27 @@ def _emit(cfg: RunConfig, doc, header: list | None = None) -> None:
         w.writerow(header)
         w.writerows(doc)
         text = buf.getvalue()
-    if cfg.path:
-        with open(cfg.path, "w") as f:
+    if args.path:
+        with open(args.path, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _floats(text: str) -> list:
-    """argparse type: comma-separated numbers."""
-    return [float(s) for s in text.split(",")]
+def _comma_list(parse):
+    """argparse type: comma-separated items, each read by parse."""
+
+    def parse_list(text: str) -> list:
+        try:
+            return [parse(s) for s in text.split(",")]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse_list
 
 
-def _laws(text: str) -> list:
-    """argparse type: comma-separated law specs."""
-    try:
-        return [parse_law(s) for s in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+_floats = _comma_list(finite)
+_laws = _comma_list(parse_law)
 
 
 DEFAULT_POWER_ALPHAS = [round(0.4 + 0.2 * i, 1) for i in range(8)]  # 0.4 .. 1.8
@@ -149,7 +113,7 @@ DEFAULT_POWER_LAWS = [
 ]
 
 
-def cmd_power_table(args, cfg: RunConfig) -> int:
+def cmd_power_table(args) -> int:
     rows = []
     status = EXIT_OK
     for a in args.alphas:
@@ -162,7 +126,7 @@ def cmd_power_table(args, cfg: RunConfig) -> int:
             except ArithmeticError as exc:
                 rows.append([a, _law_label(law), "", "", "", str(exc)])
                 status = EXIT_NUMERIC
-    _emit(cfg, rows, ["alpha", "law", "alpha_power", "method", "residual", "error"])
+    _emit(args, rows, ["alpha", "law", "alpha_power", "method", "residual", "error"])
     return status
 
 
@@ -174,7 +138,7 @@ def _alpha_major(args, row) -> list:
     return [col[i] for i in range(len(args.alphas)) for col in cols]
 
 
-def cmd_jalpha_table(args, cfg: RunConfig) -> int:
+def cmd_jalpha_table(args) -> int:
     def row(a, r):
         gam = r ** (-1.0 / r)
         j = jalpha.jalpha_of_law(SaS(r, gam), a)
@@ -185,32 +149,33 @@ def cmd_jalpha_table(args, cfg: RunConfig) -> int:
         return [a, r, f"{j.value:.10g}", j.method, rel]
 
     header = ["alpha", "r", "J_alpha", "method", "relerr_vs_closed_form_if_stable"]
-    _emit(cfg, _alpha_major(args, row), header)
+    _emit(args, _alpha_major(args, row), header)
     return EXIT_OK
 
 
-def cmd_giie_table(args, cfg: RunConfig) -> int:
+def cmd_giie_table(args) -> int:
     def row(a, r):
         rep = bounds.giie_product(SaS(r, r ** (-1.0 / r)), a)
-        return [a, r, f"{rep.lhs:.10g}", f"{rep.rhs:.10g}"], rep.holds(cfg.slack_tol)
+        return [a, r, f"{rep.lhs:.10g}", f"{rep.rhs:.10g}"], rep.holds()
 
     rows, holds = zip(*_alpha_major(args, row))
-    _emit(cfg, list(rows), ["alpha", "r", "product", "kappa_alpha"])
+    _emit(args, list(rows), ["alpha", "r", "product", "kappa_alpha"])
     return EXIT_OK if all(holds) else EXIT_VIOLATION
 
 
-def cmd_giie_mix(args, cfg: RunConfig) -> int:
+def cmd_giie_mix(args) -> int:
     pairs = bounds.giie_mix_products(args.sigmas, alpha=1.8)
     k18 = kappa_alpha(1.8)
     rows = [[s, f"{p:.10g}", f"{k18:.10g}"] for s, p in pairs]
-    status = EXIT_OK if all(p >= k18 - cfg.slack_tol for _, p in pairs) else EXIT_VIOLATION
-    _emit(cfg, rows, ["sigma", "product", "kappa_18"])
+    status = EXIT_OK if all(p >= k18 - SLACK_TOL for _, p in pairs) else EXIT_VIOLATION
+    _emit(args, rows, ["sigma", "product", "kappa_18"])
     return status
 
 
-def cmd_sum_bound(args, cfg: RunConfig) -> int:
+def cmd_sum_bound(args) -> int:
     alpha = args.alpha
     gamma = args.gamma
+    noise = SaS(alpha, gamma)
     rows = []
     status = EXIT_OK
     for law in args.laws:
@@ -218,23 +183,22 @@ def cmd_sum_bound(args, cfg: RunConfig) -> int:
         h_x = f.entropy()
         j_x = jalpha.jalpha_spectral(f, alpha).value
         h_bound = bounds.entropy_sum_upper(h_x, j_x, alpha, gamma)
-        law_z = Sum(law_s, SaS(alpha, gamma))
-        h_num = realize(law_z, GridSpec(f.n, f.half_extent)).entropy()
+        h_num = realize(Sum(law_s, noise), GridSpec(f.n, f.half_extent)).entropy()
         slack = h_bound - h_num
         rows.append(
             [_law_label(law), alpha, gamma, f"{h_num:.10g}", f"{h_bound:.10g}", f"{slack:.6g}"]
         )
-        if slack < -cfg.slack_tol:
+        if slack < -SLACK_TOL:
             status = EXIT_VIOLATION
-    _emit(cfg, rows, ["law", "alpha", "gamma", "h_sum_numeric", "h_sum_bound", "slack"])
+    _emit(args, rows, ["law", "alpha", "gamma", "h_sum_numeric", "h_sum_bound", "slack"])
     return status
 
 
-def cmd_debruijn_check(args, cfg: RunConfig) -> int:
+def cmd_debruijn_check(args) -> int:
     law = parse_law(args.law)
     rep = jalpha.debruijn_check(law, args.alpha, args.gamma, args.eta)
     _emit(
-        cfg,
+        args,
         {
             "name": rep.name,
             "lhs": rep.lhs,
@@ -246,7 +210,7 @@ def cmd_debruijn_check(args, cfg: RunConfig) -> int:
     return EXIT_OK if rep.method["relative_error"] <= args.tol else EXIT_VIOLATION
 
 
-def cmd_capacity(args, cfg: RunConfig) -> int:
+def cmd_capacity(args) -> int:
     spec = capacity.ChannelSpec(args.alpha, args.gamma_n, args.A, args.d)
     gamma_x = capacity.optimal_input_scale(spec)
     p_n = capacity.noise_alpha_power(spec.alpha, spec.gamma_N)
@@ -264,18 +228,18 @@ def cmd_capacity(args, cfg: RunConfig) -> int:
             else p_n,
         },
     }
-    _emit(cfg, payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
-def cmd_crb_bench(args, cfg: RunConfig) -> int:
+def cmd_crb_bench(args) -> int:
     run = estimate.EstimatorRun(
         estimator=args.estimator,
         theta_true=args.theta,
         noise=stable.StableParams.symmetric(args.alpha, args.gamma_n),
         trials=args.trials,
         samples_per_trial=args.n,
-        seed=args.seed if args.seed is not None else cfg.seed,
+        seed=args.seed,
         K=args.K,
     )
     run = estimate.run_estimator(run)
@@ -292,13 +256,13 @@ def cmd_crb_bench(args, cfg: RunConfig) -> int:
             w.writerow(["error"])
             for e in run.errors:
                 w.writerow([repr(float(e))])
-    _emit(cfg, payload)
+    _emit(args, payload)
     if run.crb is not None and run.error_alpha_power < run.crb * (1.0 - 0.02):
         return EXIT_VIOLATION
     return EXIT_OK
 
 
-def cmd_suite(args, cfg: RunConfig) -> int:
+def cmd_suite(args) -> int:
     """Aggregated bound checks at a reduced matrix size."""
     results = {}
     violations = []
@@ -315,19 +279,19 @@ def cmd_suite(args, cfg: RunConfig) -> int:
         {"relative_error": rep.method["relative_error"]},
     )
     rep = bounds.gfii_check(SaS(1.5, 1.0), SaS(1.5, 1.0), 1.5)
-    record("gfii_stable", rep.holds(cfg.slack_tol), {"slack": rep.slack})
+    record("gfii_stable", rep.holds(), {"slack": rep.slack})
     for a in (1.2, 1.6, 2.0):
         rep = bounds.giie_product(SaS(1.8, 1.0), a) if a < 2 else bounds.giie_product(
             Gaussian(1.0), a
         )
-        record(f"giie_alpha_{a}", rep.holds(cfg.slack_tol), {"slack": rep.slack})
+        record(f"giie_alpha_{a}", rep.holds(), {"slack": rep.slack})
     pairs = bounds.giie_mix_products([0.5 * i for i in range(17)])
     argmin_sigma = min(pairs, key=lambda sp: sp[1])[0]
     k18 = kappa_alpha(1.8)
     worst = min(p for _, p in pairs)
     record(
         "giie_mix_bound",
-        worst >= k18 - cfg.slack_tol,
+        worst >= k18 - SLACK_TOL,
         {"worst_product": worst, "kappa_18": k18, "argmin_sigma": argmin_sigma},
     )
     record(
@@ -342,7 +306,7 @@ def cmd_suite(args, cfg: RunConfig) -> int:
             noise=stable.StableParams.symmetric(1.8, 1.0),
             trials=2000,
             samples_per_trial=1,
-            seed=cfg.seed,
+            seed=DEFAULT_SEED,
         )
     )
     record(
@@ -350,7 +314,7 @@ def cmd_suite(args, cfg: RunConfig) -> int:
         run.error_alpha_power >= run.crb * 0.98,
         {"error_alpha_power": run.error_alpha_power, "crb": run.crb},
     )
-    _emit(cfg, {"results": results, "violations": violations})
+    _emit(args, {"results": results, "violations": violations})
     return EXIT_OK if not violations else EXIT_VIOLATION
 
 
@@ -368,13 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Alpha-power / alpha-Fisher information numerics for "
         "symmetric alpha-stable laws",
     )
-    p.add_argument("--config", help="key=value config file (or set $" + CONFIG_ENV_VAR + ")")
-    p.add_argument("--seed", type=int, dest="global_seed")
-    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", dest="path", help="output file (default stdout)")
-    p.add_argument(
-        "--show-config", action="store_true", help="print the effective config and exit"
-    )
     sub = p.add_subparsers(dest="command")
 
     sp = sub.add_parser("power-table", help="alpha-power sweep over laws")
@@ -403,34 +362,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sum-bound", help="entropy-of-sum upper bound check")
     sp.add_argument("--laws", type=_laws, default=[Gaussian(1.0), Laplace(1.0)])
-    sp.add_argument("--alpha", type=float, default=1.5)
-    sp.add_argument("--gamma", type=float, default=1.0)
+    sp.add_argument("--alpha", type=finite, default=1.5)
+    sp.add_argument("--gamma", type=finite, default=1.0)
     sp.set_defaults(fn=cmd_sum_bound)
 
     sp = sub.add_parser("debruijn-check", help="generalized de Bruijn identity check")
     sp.add_argument("--law", default="gaussian:1")
-    sp.add_argument("--alpha", type=float, default=1.5)
-    sp.add_argument("--gamma", type=float, default=1.0)
-    sp.add_argument("--eta", type=float, default=0.5)
-    sp.add_argument("--tol", type=float, default=0.02)
+    sp.add_argument("--alpha", type=finite, default=1.5)
+    sp.add_argument("--gamma", type=finite, default=1.0)
+    sp.add_argument("--eta", type=finite, default=0.5)
+    sp.add_argument("--tol", type=finite, default=0.02)
     sp.set_defaults(fn=cmd_debruijn_check)
 
     sp = sub.add_parser("capacity", help="stable channel capacity")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--gamma-n", type=float, required=True)
-    sp.add_argument("--A", type=float, required=True)
+    sp.add_argument("--alpha", type=finite, required=True)
+    sp.add_argument("--gamma-n", type=finite, required=True)
+    sp.add_argument("--A", type=finite, required=True)
     sp.add_argument("--d", type=int, default=1)
     sp.set_defaults(fn=cmd_capacity)
 
     sp = sub.add_parser("crb-bench", help="estimator benchmark vs generalized CRB")
-    sp.add_argument("--alpha", type=float, default=1.8)
-    sp.add_argument("--gamma-n", type=float, default=1.0)
+    sp.add_argument("--alpha", type=finite, default=1.8)
+    sp.add_argument("--gamma-n", type=finite, default=1.0)
     sp.add_argument("--estimator", choices=estimate.ESTIMATORS, default="ml_identity")
     sp.add_argument("--trials", type=int, default=10000)
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--theta", type=float, default=0.0)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--K", type=float)
+    sp.add_argument("--theta", type=finite, default=0.0)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--K", type=finite)
     sp.add_argument("--errors-csv", help="optional CSV path for the raw errors")
     sp.set_defaults(fn=cmd_crb_bench)
 
@@ -444,25 +403,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(
-            args.config,
-            overrides={
-                "seed": args.global_seed,
-                "format": args.format,
-                "path": args.path,
-            },
-        )
-    except (OSError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.show_config:
-        print(json.dumps(cfg.__dict__, indent=2, sort_keys=True))
-        return EXIT_OK
-    if not getattr(args, "fn", None):
-        parser.print_help()
-        return EXIT_CONFIG
-    try:
-        return args.fn(args, cfg)
+        if not getattr(args, "fn", None):
+            parser.print_help()
+            return EXIT_CONFIG
+        return args.fn(args)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,8 +2,9 @@
 
 A RandomLaw is a small description object (Gaussian, Uniform, Laplace,
 Cauchy, SaS, shift/scale/sum compositions, or an empirical sample set);
-realize() turns it into a GriddedDensity, whose entropy runs through
-the tail-corrected quadrature of the grid container.
+realize() turns any but a sample set into a GriddedDensity, whose
+entropy runs through the tail-corrected quadrature of the grid
+container.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ class Gaussian(RandomLaw):
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
 
     def scale_hint(self):
         return self.sigma
@@ -101,8 +102,8 @@ class Uniform(RandomLaw):
     a: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("a must be positive")
+        if not 0 < self.a < math.inf:
+            raise ValueError("a must be positive and finite")
 
     def scale_hint(self):
         return self.a
@@ -132,8 +133,8 @@ class Laplace(RandomLaw):
     b: float
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError("b must be positive")
+        if not 0 < self.b < math.inf:
+            raise ValueError("b must be positive and finite")
 
     def scale_hint(self):
         return self.b
@@ -153,8 +154,8 @@ class Cauchy(RandomLaw):
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
 
     def scale_hint(self):
         return self.gamma
@@ -179,9 +180,9 @@ class SaS(RandomLaw):
 
     def __post_init__(self):
         if not 0 < self.alpha <= 2:
-            raise ValueError("alpha must be in (0, 2]")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+            raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
 
     def scale_hint(self):
         return self.gamma
@@ -200,6 +201,10 @@ class SaS(RandomLaw):
 class Shifted(RandomLaw):
     law: RandomLaw
     delta: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.delta):
+            raise ValueError("shift must be finite")
 
     def scale_hint(self):
         return self.law.scale_hint()
@@ -224,8 +229,8 @@ class Scaled(RandomLaw):
     c: float
 
     def __post_init__(self):
-        if self.c == 0:
-            raise ValueError("scale factor must be nonzero")
+        if self.c == 0 or not math.isfinite(self.c):
+            raise ValueError("scale factor must be nonzero and finite")
 
     def scale_hint(self):
         return abs(self.c) * self.law.scale_hint()
@@ -283,6 +288,8 @@ class Sum(RandomLaw):
 
 @dataclass(frozen=True)
 class Empirical(RandomLaw):
+    """A sample set, which alpha_power reads directly: it has no density."""
+
     samples: tuple
 
     def __post_init__(self):
@@ -308,31 +315,6 @@ class Empirical(RandomLaw):
     def second_moment(self):
         return float(np.mean(self.as_array() ** 2))
 
-    def bandwidth(self) -> float:
-        """Silverman-style rule on the interquartile range; variance is
-        useless as a spread measure when the samples are heavy-tailed."""
-        s = self.as_array()
-        iqr = float(np.subtract(*np.percentile(s, [75, 25])))
-        spread = iqr / 1.349 if iqr > 0 else max(float(np.std(s)), 1e-12)
-        return 0.9 * spread * len(s) ** (-0.2)
-
-    def _realize_on(self, grid):
-        s = self.as_array()
-        bw = self.bandwidth()
-        x = grid.points()
-        lo, hi = x[0], x[-1]
-        kept = s[(s >= lo) & (s <= hi)]
-        if len(kept) == 0:
-            raise ValueError("no samples fall inside the grid")
-        # bin, then smooth with a Gaussian kernel via FFT
-        edges = np.concatenate([x - grid.h / 2.0, [x[-1] + grid.h / 2.0]])
-        counts, _ = np.histogram(kept, bins=edges)
-        w = 2.0 * math.pi * np.fft.rfftfreq(grid.n, d=grid.h)
-        kernel_ft = np.exp(-0.5 * (bw * w) ** 2)
-        smoothed = np.fft.irfft(np.fft.rfft(counts) * kernel_ft, n=grid.n)
-        p = np.clip(smoothed, 0.0, None) / (len(kept) * grid.h)
-        return GriddedDensity(float(x[0]), grid.h, p).normalize()
-
 
 def _spectral_reach(law: RandomLaw) -> float:
     """Frequency by which |w|^alpha phi(w) of the law's heavy stable
@@ -355,19 +337,15 @@ def _spectral_reach(law: RandomLaw) -> float:
 def plan_grid(law: RandomLaw, alpha: float | None = None) -> GridSpec:
     """The grid a law is realized on.
 
-    Without alpha: GRID_N points over GRID_EXTENT scales, or for
-    Empirical a span set by its samples.  With alpha, the spectral grid
-    for J_alpha: SPECTRAL_EXTENT scales, with n raised, up to
-    MAX_GRID_N, until the Nyquist frequency pi/h reaches the law's
-    spectral reach."""
+    Without alpha: GRID_N points over GRID_EXTENT scales.  With alpha,
+    the spectral grid for J_alpha: SPECTRAL_EXTENT scales, with n
+    raised, up to MAX_GRID_N, until the Nyquist frequency pi/h reaches
+    the law's spectral reach."""
     s = max(law.scale_hint(), 1e-12)
     if alpha is not None:
         L = SPECTRAL_EXTENT * s
         n_req = 2 ** math.ceil(math.log2(max(2.0 * L * _spectral_reach(law) / math.pi, 2.0)))
         return GridSpec(max(GRID_N, min(n_req, MAX_GRID_N)), L)
-    if isinstance(law, Empirical):
-        spread = float(np.max(np.abs(law.as_array())))
-        return GridSpec(GRID_N, max(20.0 * s, min(spread * 1.1, 1e4 * s)))
     return GridSpec(GRID_N, GRID_EXTENT * s)
 
 

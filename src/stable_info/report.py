@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["BoundReport"]
+__all__ = ["BoundReport", "SLACK_TOL"]
+
+# how far below zero a slack may fall before a bound counts as violated
+SLACK_TOL = 1e-3
 
 
 @dataclass
@@ -23,5 +26,5 @@ class BoundReport:
     inputs: dict = field(default_factory=dict)
     method: dict = field(default_factory=dict)
 
-    def holds(self, tol: float = 1e-3) -> bool:
-        return self.slack >= -tol
+    def holds(self) -> bool:
+        return self.slack >= -SLACK_TOL

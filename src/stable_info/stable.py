@@ -63,8 +63,8 @@ class StableParams:
     def __post_init__(self):
         if not 0 < self.alpha <= 2:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
     @classmethod
     def symmetric(cls, alpha: float, gamma: float) -> "StableParams":

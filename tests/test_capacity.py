@@ -27,6 +27,12 @@ class TestChannelSpec:
         with pytest.raises(ValueError):
             ChannelSpec(1.8, 1.0, 3.0, d=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        for args in ((bad, 1.0, 3.0), (1.8, bad, 3.0), (1.8, 1.0, bad)):
+            with pytest.raises(ValueError):
+                ChannelSpec(*args)
+
 
 class TestCapacity:
     def test_awgn_reduction(self):

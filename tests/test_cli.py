@@ -8,13 +8,10 @@ import pytest
 
 from stable_info.capacity import ChannelSpec, capacity_stable
 from stable_info.cli import (
-    CONFIG_ENV_VAR,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VIOLATION,
-    RunConfig,
-    load_config,
     _law_label,
     main,
     parse_law,
@@ -62,60 +59,50 @@ class TestParseLaw:
         assert _law_label(parse_law(spec)) == spec
 
 
-class TestConfig:
-    def test_defaults_validate(self):
-        load_config()
-
-    def test_file_and_overrides(self, tmp_path):
-        p = tmp_path / "cfg"
-        p.write_text("# comment\nslack_tol = 0.5\nseed = 7\n")
-        cfg = load_config(str(p), overrides={"seed": 9})
-        assert cfg.slack_tol == 0.5
-        assert cfg.seed == 9
-
-    def test_env_var_fallback(self, tmp_path, monkeypatch):
-        p = tmp_path / "cfg"
-        p.write_text("slack_tol = 0.5\n")
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(p))
-        assert load_config().slack_tol == 0.5
-
-    def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "cfg"
-        p.write_text("grid_size = 10\n")
-        with pytest.raises(ValueError):
-            load_config(str(p))
-
-    def test_removed_tolerance_keys_rejected(self, capsys, tmp_path):
-        # and the grid keys: density.plan_grid sizes every grid
-        for key in ("root_tol", "entropy_tol", "extent_factor", "n_points"):
-            p = tmp_path / "cfg"
-            p.write_text(f"{key} = 1e-6\n")
-            code, _, err = run_cli(capsys, "--config", str(p), "--show-config")
-            assert code == EXIT_CONFIG
-            assert f"unknown config key: {key!r}" in err
-
-    def test_validation_rules(self):
-        with pytest.raises(ValueError):
-            RunConfig(slack_tol=0.0).validate()
-        with pytest.raises(ValueError):
-            RunConfig(format="yaml").validate()
+CAPACITY = ["capacity", "--alpha", "1.8", "--gamma-n", "1", "--A", "3"]
 
 
 class TestTopLevel:
-    def test_show_config(self, capsys):
-        code, out, _ = run_cli(capsys, "--seed", "42", "--show-config")
-        assert code == EXIT_OK
-        assert json.loads(out)["seed"] == 42
-
     def test_no_command_prints_help(self, capsys):
         code, out, _ = run_cli(capsys)
         assert code == EXIT_CONFIG
         assert "usage:" in out
 
-    def test_bad_config_file(self, capsys):
-        code, _, err = run_cli(capsys, "--config", "/nonexistent", "--show-config")
+    @pytest.mark.parametrize("before", [["--config"], ["--show-config"], ["--seed", "42"]])
+    def test_removed_inputs_rejected(self, capsys, tmp_path, before):
+        # the command line is the only input: no config file, no second seed
+        if before == ["--config"]:
+            (tmp_path / "run.cfg").write_text("seed = 7\n")
+            before = ["--config", str(tmp_path / "run.cfg")]
+        code, out, err = run_cli(capsys, *before, *CAPACITY)
         assert code == EXIT_CONFIG
+        assert out == ""
         assert "configuration error" in err
+
+    def test_environment_is_not_read(self, capsys, monkeypatch):
+        code, want, _ = run_cli(capsys, *CAPACITY)
+        monkeypatch.setenv("STABLE_INFO_CONFIG", "/nonexistent")
+        code_env, got, err = run_cli(capsys, *CAPACITY)
+        assert code == code_env == EXIT_OK
+        assert got == want and err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["power-table", "--alphas", "1.5", "--laws", "gaussian:inf"],
+            ["power-table", "--alphas", "1.5", "--laws", "sas:1.5:inf"],
+            ["power-table", "--alphas", "nan", "--laws", "gaussian:1"],
+            ["sum-bound", "--laws", "gaussian:1", "--gamma", "inf"],
+            ["debruijn-check", "--law", "laplace:nan"],
+            ["capacity", "--alpha", "1.8", "--gamma-n", "1", "--A", "inf"],
+            ["crb-bench", "--trials", "10", "--gamma-n", "inf"],
+        ],
+    )
+    def test_non_finite_number_exits_config(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("configuration error: ") and "finite" in err
 
     def test_bad_law_spec_exits_config(self, capsys):
         code, _, err = run_cli(
@@ -273,6 +260,12 @@ class TestBoundCommands:
         assert code == EXIT_OK
         _, rows = read_csv(out)
         assert float(rows[0][5]) >= -1e-3  # slack column
+
+    def test_sum_bound_negative_gamma_exits_config(self, capsys):
+        code, out, err = run_cli(capsys, "sum-bound", "--laws", "gaussian:1", "--gamma", "-1")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "configuration error: gamma must be positive and finite\n"
 
     def test_sum_bound_heavy_smoothing(self, capsys):
         # the Laplace law needs the spectral rule's smoothing scale here

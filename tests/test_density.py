@@ -183,11 +183,32 @@ class TestEmpirical:
         with pytest.raises(ValueError):
             Empirical(())
 
-    def test_kde_recovers_gaussian_entropy(self):
-        rng = np.random.default_rng(5)
-        law = Empirical(tuple(rng.normal(0.0, 1.0, size=20000)))
-        h = realize(law).entropy()
-        assert h == pytest.approx(0.5 * math.log(2 * math.pi * math.e), abs=0.03)
+    def test_has_no_density(self):
+        # alpha_power reads the samples themselves; nothing realizes them
+        with pytest.raises(NotImplementedError):
+            realize(Empirical((0.0, 1.0, 2.5)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        Gaussian,
+        Uniform,
+        Laplace,
+        Cauchy,
+        lambda v: SaS(1.5, v),
+        lambda v: SaS(v, 1.0),
+        lambda v: Scaled(Gaussian(1.0), v),
+        lambda v: Shifted(Gaussian(1.0), v),
+    ],
+    ids=[
+        "gaussian", "uniform", "laplace", "cauchy", "sas_gamma", "sas_alpha", "scaled", "shifted"
+    ],
+)
+def test_non_finite_parameter_rejected(make, bad):
+    with pytest.raises(ValueError):
+        make(bad)
 
 
 class TestScalingProperties:

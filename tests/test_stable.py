@@ -71,6 +71,13 @@ class TestParams:
         with pytest.raises(ValueError):
             StableParams(alpha=1.5, gamma=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            StableParams(alpha=bad)
+        with pytest.raises(ValueError):
+            StableParams(alpha=1.5, gamma=bad)
+
     def test_symmetric_constructor(self):
         p = StableParams.symmetric(1.3, 0.7)
         assert p.alpha == 1.3 and p.gamma == 0.7
