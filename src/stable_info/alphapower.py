@@ -13,10 +13,10 @@ square) and stable inputs at matching alpha.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import density as dens
 from . import stable
@@ -100,6 +100,66 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
     c0 = -math.log(c1_ref) * i0 + (1.0 + alpha) * i1
     c1 = (1.0 + alpha) * i0
     return _GRule(alpha, y, w, 2.0 * c_tail * c0, 2.0 * c_tail * c1)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
+    """A root of f in [xa, xb], where f changes sign.
+
+    A line-for-line port of the C brentq that scipy.optimize.brentq
+    calls, with its default rtol (4 eps) and maxiter: it evaluates f at
+    the same points in the same order and returns the same float.
+    Running out of iterations raises ArithmeticError, as does a NaN
+    value of f."""
+    rtol = 4 * sys.float_info.epsilon
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ArithmeticError(f"root function is NaN at {x}")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise ArithmeticError(f"brentq did not converge in {maxiter} iterations")
 
 
 def g_of_P(law: RandomLaw, alpha: float, P: float) -> float:
@@ -198,5 +258,5 @@ def alpha_power(law: RandomLaw, alpha: float) -> AlphaPowerResult:
         raise ArithmeticError(
             f"could not bracket the alpha-power root (alpha={alpha}, law={law})"
         )
-    t = brentq(excess, lo, hi, xtol=ROOT_RTOL)
+    t = _brentq(excess, lo, hi, ROOT_RTOL)
     return AlphaPowerResult(math.exp(t), alpha, "numeric_root", abs(excess(t)))

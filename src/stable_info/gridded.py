@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve, solve_banded
 
 __all__ = ["GridSpec", "TailLaw", "GriddedDensity", "power_tail_integrals"]
 
@@ -84,6 +84,45 @@ class TailLaw:
 
 # knots x and coefficient rows c[0..3] (cubic first) of a spline
 _Cubic = namedtuple("_Cubic", "x c")
+
+
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (4, m - 1) coefficients of scipy's not-a-knot CubicSpline
+    through the m knots x and values y, bit for bit.
+
+    The knot slopes s come from the same linear system, built the same
+    way and handed to the same scipy.linalg solver (the (3, m) band for
+    m > 3, the 3 x 3 parabola for m = 3; m = 2 is the line), and the
+    rows are formed as CubicHermiteSpline forms them."""
+    m = x.size
+    if m < 2:
+        raise ValueError(f"a spline needs at least 2 knots, got {m}")
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    if m == 2:
+        s = np.array([slope[0], slope[0]])
+    elif m == 3:
+        a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+        b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
+        s = solve(a, b, check_finite=False)
+    else:
+        # rows: upper diagonal, diagonal, lower diagonal; the first and
+        # last equations are the not-a-knot conditions
+        ab = np.zeros((3, m))
+        b = np.empty(m)
+        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        ab[0, 2:] = dx[:-1]
+        ab[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        ab[1, 0], ab[0, 1] = dx[1], d
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        ab[1, -1], ab[-1, -2] = dx[-2], d
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
 
 
 @dataclass
@@ -159,9 +198,10 @@ class GriddedDensity:
         The spline only covers the contiguous central region where the
         values sit clearly above the FFT/underflow noise floor; a cubic
         fit through noise-level samples oscillates without bound in log
-        space.  scipy's CubicSpline builds it; the knots are uniform, so
-        it is evaluated by direct indexing, interval k = (x - x_lo) // h,
-        summed in PPoly's order c3 + c2 s + c1 s^2 + c0 s^3."""
+        space.  It is scipy's not-a-knot CubicSpline, built here by
+        _not_a_knot; the knots are uniform, so it is evaluated by direct
+        indexing, interval k = (x - x_lo) // h, summed in PPoly's order
+        c3 + c2 s + c1 s^2 + c0 s^3."""
         if self._spline is None:
             thresh = float(np.max(self.values)) * 1e-14
             i = int(np.argmax(self.values))
@@ -173,7 +213,7 @@ class GriddedDensity:
             sl = slice(lo, hi + 1)
             logp = np.log(np.clip(self.values[sl], _FLOOR, None))
             knots = self.x[sl]
-            self._spline = _Cubic(knots, CubicSpline(knots, logp, extrapolate=False).c)
+            self._spline = _Cubic(knots, _not_a_knot(knots, logp))
         xq = np.asarray(xq, dtype=float)
         scalar = xq.ndim == 0
         xq = np.atleast_1d(xq)

@@ -1,12 +1,16 @@
+import functools
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from stable_info import stable
-from stable_info.alphapower import _g_rule, alpha_power, g_of_P
+from stable_info import alphapower, cli, stable
+from stable_info.alphapower import _brentq, _g_rule, alpha_power, g_of_P
 from stable_info.cli import DEFAULT_POWER_ALPHAS, DEFAULT_POWER_LAWS
 from stable_info.density import (
     Cauchy,
@@ -109,6 +113,98 @@ class TestNumericRoot:
             alpha_power(Gaussian(1.0), 0.0)
         with pytest.raises(ValueError):
             alpha_power(Gaussian(1.0), 2.3)
+
+
+def recorded(f):
+    """f, and the list of points it is called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def lines_run(fn, call) -> set:
+    """Line numbers of fn's own body executed while call() runs."""
+    lines = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not fn.__code__:
+            return None
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+class TestBrentPort:
+    """_brentq retraces scipy.optimize.brentq call for call."""
+
+    CASES = {
+        "cubic": (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
+        "exp": (lambda x: math.exp(x) - 10, -5.0, 10.0),
+        "cos": (lambda x: math.cos(x) - x, 0.0, 1.0),
+        "atan": (lambda x: math.atan(x - 0.3), -20.0, 50.0),
+        "root-at-end": (lambda x: x, -1.0, 0.0),
+    }
+
+    @staticmethod
+    def same_as_scipy(f, a, b, xtol):
+        ours, our_calls = recorded(f)
+        theirs, their_calls = recorded(f)
+        root = _brentq(ours, a, b, xtol)
+        assert root == brentq(theirs, a, b, xtol=xtol)
+        assert our_calls == their_calls
+        return root
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_calls_and_root_as_scipy(self, case):
+        self.same_as_scipy(*self.CASES[case], 1e-9)
+
+    def test_extrapolation_branch_fires(self):
+        src, first = inspect.getsourcelines(_brentq)
+        line = first + next(i for i, s in enumerate(src) if "dpre = (fpre" in s)
+        f, a, b = self.CASES["cubic"]
+        assert line in lines_run(_brentq, lambda: _brentq(f, a, b, 1e-9))
+
+    def test_alpha_power_root_unchanged(self, monkeypatch):
+        roots = []
+
+        def both(f, a, b, xtol):
+            roots.append(self.same_as_scipy(f, a, b, xtol))
+            return roots[-1]
+
+        monkeypatch.setattr(alphapower, "_brentq", both)
+        alpha_power(Laplace(1.0), 1.5)
+        alpha_power(Uniform(1.0), 0.6)
+        assert len(roots) == 2
+
+    def test_sign_error(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1, -1.0, 1.0, 1e-9)
+
+    def test_no_convergence_is_arithmetic_error(self):
+        f, a, b = self.CASES["cubic"]
+        with pytest.raises(ArithmeticError, match="did not converge in 2 iterations"):
+            _brentq(f, a, b, 1e-9, maxiter=2)
+
+    def test_cli_exits_3_when_the_root_does_not_converge(self, monkeypatch, capsys):
+        monkeypatch.setattr(alphapower, "_brentq", functools.partial(_brentq, maxiter=2))
+        assert cli.main(["power-table", "--alphas", "1.5", "--laws", "laplace:1"]) == 3
+        assert "did not converge" in capsys.readouterr().out
+
+    def test_nan_is_arithmetic_error(self):
+        with pytest.raises(ArithmeticError, match="NaN"):
+            values = iter([-1.0, 1.0, math.nan])
+            _brentq(lambda x: next(values), 0.0, 1.0, 1e-9)
 
 
 class TestGOfP:

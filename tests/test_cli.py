@@ -2,10 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import stable_info
 from stable_info.capacity import ChannelSpec, capacity_stable
 from stable_info.cli import (
     EXIT_CONFIG,
@@ -451,3 +455,17 @@ class TestSnapshots:
         for row, want_row in zip(rows, want_rows):
             assert len(row) == len(want_row)
             assert all(_same_cell(row[i], want_row[i]) for i in kept), (row, want_row)
+
+
+class TestImportCost:
+    def test_cli_import_skips_scipy_optimize_and_interpolate(self):
+        # each is about 0.15 s of start-up; the package builds its spline
+        # and solves its root without them
+        src = str(Path(stable_info.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, stable_info.cli; print(' '.join(sorted(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        loaded = out.stdout.split()
+        assert "stable_info.cli" in loaded
+        heavy = [m for m in loaded if m.startswith(("scipy.optimize", "scipy.interpolate"))]
+        assert heavy == []

@@ -8,7 +8,13 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from stable_info.density import SaS, Uniform, realize
-from stable_info.gridded import GriddedDensity, GridSpec, TailLaw, power_tail_integrals
+from stable_info.gridded import (
+    GriddedDensity,
+    GridSpec,
+    TailLaw,
+    _not_a_knot,
+    power_tail_integrals,
+)
 from stable_info.stable import _tail_law, sas_density
 
 
@@ -145,6 +151,7 @@ class TestGriddedDensity:
         lo = int(np.searchsorted(f.x, knots[0]))
         logp = np.log(np.clip(f.values[lo : lo + knots.size], 1e-300, None))
         spline = CubicSpline(knots, logp, extrapolate=False)
+        assert np.array_equal(f._spline.c, spline.c)
         r = min(f.accurate_radius, knots[-1])
         r_lo = max(-r, knots[0])
         xs = np.concatenate([r_lo + (r - r_lo) * np.array(u), knots[::7], [r_lo, r]])
@@ -170,6 +177,53 @@ class TestGriddedDensity:
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
             GriddedDensity(-1.0, 0.5, np.array([0.1, -0.2, 0.1]))
+
+
+class TestNotAKnot:
+    """_not_a_knot is scipy's not-a-knot CubicSpline, coefficient for
+    coefficient, on knots laid out as logpdf lays them out."""
+
+    @staticmethod
+    def knots(m):
+        return -7.3 + 0.0123 * np.arange(m)
+
+    @pytest.mark.parametrize("m", [4, 5, 17, 2**16])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["smooth", "noisy"])
+    def test_bit_identical_to_cubic_spline(self, m, noisy):
+        x = self.knots(m)
+        y = np.random.default_rng(m).standard_normal(m) if noisy else np.sin(x) - 0.5 * x**2
+        assert np.array_equal(_not_a_knot(x, y), CubicSpline(x, y).c)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_short_regions(self, m):
+        # scipy takes m = 2 as the line and m = 3 as the one parabola
+        # through the knots
+        x = self.knots(m)
+        y = np.array([-1.0, 0.5, 0.2][:m])
+        c = _not_a_knot(x, y)
+        assert c.shape == (4, m - 1)
+        assert np.array_equal(c, CubicSpline(x, y).c)
+
+    def test_one_knot_refused(self):
+        with pytest.raises(ValueError, match="at least 2 knots"):
+            _not_a_knot(np.array([0.5]), np.array([1.0]))
+
+    @pytest.mark.parametrize("peak", [[1.0], [1.0, 2.0], [1.0, 2.0, 0.5]], ids=["m1", "m2", "m3"])
+    def test_logpdf_on_short_regions(self, peak):
+        # values that clear the noise cut at only m = 1, 2 or 3 points,
+        # from the center x[8] = 0 rightward
+        m = len(peak)
+        v = np.zeros(16)
+        v[8 : 8 + m] = peak
+        f = GriddedDensity(-4.0, 0.5, v)
+        if m == 1:
+            with pytest.raises(ValueError, match="at least 2 knots"):
+                f.logpdf(0.0)
+            return
+        knots = f.x[8 : 8 + m]
+        xs = np.linspace(knots[0], knots[-1], 9)
+        want = CubicSpline(knots, np.log(peak))(xs)
+        np.testing.assert_allclose(f.logpdf(xs), want, rtol=0, atol=1e-15)
 
 
 class TestTailRule:
