@@ -132,6 +132,9 @@ class GriddedDensity:
     values: np.ndarray
     tail: TailLaw | None = None
     _spline: _Cubic | None = field(default=None, repr=False, compare=False)
+    # (q, |phi|, tail mass) of the spectral J_alpha, kept by
+    # jalpha._parseval_weights
+    _spectral: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

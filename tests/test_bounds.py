@@ -47,6 +47,12 @@ class TestGFII:
         # classical FII equality case: 1/J(X+Y) = 1/J(X) + 1/J(Y)
         assert rep.lhs == pytest.approx(rep.rhs, rel=0.01)
 
+    @pytest.mark.parametrize("s1, s2", [(1.0, 1.0), (1.0, 2.0), (0.3, 5.0)])
+    def test_gaussian_alpha2_equality_tight(self, s1, s2):
+        # the same identity, held to what the grid actually delivers
+        rep = gfii_check(Gaussian(s1), Gaussian(s2), 2.0)
+        assert abs(rep.slack) <= 1e-7 * rep.rhs
+
     def test_stable_pair_matches_closed_form_slack(self):
         a, g1, g2 = 1.5, 1.0, 1.5
         rep = gfii_check(SaS(a, g1), SaS(a, g2), a)
@@ -122,6 +128,10 @@ class TestGIIE:
         rep = giie_product(Gaussian(1.0), 2.0)
         assert rep.lhs == pytest.approx(1.0, rel=0.01)
         assert rep.rhs == 1.0
+
+    def test_gaussian_alpha2_equality_tight(self):
+        # N_2 J_2 = 1 for a Gaussian, held to roundoff
+        assert giie_product(Gaussian(1.0), 2.0).lhs == pytest.approx(1.0, rel=1e-11)
 
     @pytest.mark.parametrize("c", [0.5, 4.0])
     def test_scale_invariance(self, c):

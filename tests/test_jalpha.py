@@ -17,6 +17,7 @@ from stable_info.density import (
     Uniform,
     realize,
 )
+from stable_info.gridded import GridSpec, GriddedDensity
 from stable_info.jalpha import (
     debruijn_check,
     jalpha_closed_stable,
@@ -63,6 +64,11 @@ class TestSpectral:
         closed = jalpha_closed_stable(2.0, s / math.sqrt(2.0))
         assert j.value == pytest.approx(closed, rel=1e-3)
 
+    @pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
+    def test_gaussian_alpha2_tight(self, s):
+        # J_2 of N(0, s^2) is 1/s^2, held to roundoff
+        assert jalpha_of_law(Gaussian(s), 2.0).value * s**2 == pytest.approx(1.0, rel=1e-11)
+
     def test_rough_law_raises_without_smoothing(self):
         f = realize(Uniform(1.0))
         with pytest.raises(ArithmeticError):
@@ -86,6 +92,47 @@ class TestSpectral:
         sel = np.abs(f.x) <= f.accurate_radius
         old = float(np.trapezoid(lp[sel] * r_fun[sel], dx=f.h))
         assert jalpha_spectral(f, 1.5).value == pytest.approx(old, rel=1e-13)
+
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_matches_complex_fft_route_off_center(self, asymmetric):
+        # a grid centered off the origin, and a two-bump density that is
+        # not symmetric about its center, where phi is complex
+        _, f = spectral_realization(Sum(Shifted(Laplace(1.0), 0.7), SaS(1.5, 1.0)), 1.5)
+        if asymmetric:
+            f = GriddedDensity(f.x0, f.h, 0.7 * f.values + 0.3 * np.roll(f.values, 97), f.tail)
+            assert np.max(np.abs(f.values - f.values[::-1])) > 1e-2 * np.max(f.values)
+        w = 2.0 * math.pi * np.fft.fftfreq(f.n, d=f.h)
+        phi = np.fft.fft(np.fft.ifftshift(f.values)) * f.h
+        r_fun = np.fft.fftshift(np.fft.ifft(np.abs(w) ** 1.5 * phi).real) / f.h
+        lp = np.log(np.clip(f.values, 1e-300, None))
+        sel = np.abs(f.x - f.center) <= f.accurate_radius
+        ref = float(np.trapezoid(lp[sel] * r_fun[sel], dx=f.h))
+        assert jalpha_spectral(f, 1.5).value == pytest.approx(ref, rel=1e-13)
+
+    def test_alpha_order_does_not_matter(self):
+        # the alpha-free weights kept on a density give, in any order of
+        # alphas, the same bits as a fresh density of the same values
+        _, f = spectral_realization(SaS(1.5, 1.0), 1.5)
+        alphas = [1.2, 1.4, 1.6, 1.8]
+
+        def fresh(alpha):
+            return jalpha_spectral(GriddedDensity(f.x0, f.h, f.values.copy(), f.tail), alpha).value
+
+        want = {a: fresh(a) for a in alphas}
+        for order in (alphas, alphas[::-1]):
+            assert {a: jalpha_spectral(f, a).value for a in order} == want
+
+    def test_rejection_keeps_weights(self):
+        # S(1, 1) on a coarse grid: |w|^alpha phi decays by the cutoff at
+        # alpha 0.5 but not at 1.5
+        f = realize(SaS(1.0, 1.0), GridSpec(1024, 83.0))
+        with pytest.raises(ArithmeticError):
+            jalpha_spectral(f, 1.5)
+        low = jalpha_spectral(f, 0.5).value
+        with pytest.raises(ArithmeticError):
+            jalpha_spectral(f, 1.5)
+        fresh = GriddedDensity(f.x0, f.h, f.values.copy(), f.tail)
+        assert jalpha_spectral(f, 0.5).value == low == jalpha_spectral(fresh, 0.5).value
 
     @given(
         st.sampled_from(
