@@ -67,8 +67,9 @@ def _parseval_weights(f: GriddedDensity) -> tuple[np.ndarray, np.ndarray, float]
     it.  On the rfft half spectrum, q_k = c_k Re(conj(L_k) phi_k) / n,
     where phi is rfft(ifftshift(values)) h, L the rfft of the
     trapezoid-weighted core log-density (zero off the core, same layout)
-    and c_k = 1 at k = 0 and n/2, 2 between.  The tail mass is the
-    two-sided mass of the mass-consistent tail beyond the core."""
+    and c_k = 2, except c_0 = 1 and, for even n, c_(n/2) = 1 (the
+    Nyquist bin, which has no mirror).  The tail mass is the two-sided
+    mass of the mass-consistent tail beyond the core."""
     if f._spectral is None:
         n, core = f.n, f.core
         phi = np.fft.rfft(np.fft.ifftshift(f.values)) * f.h
@@ -80,7 +81,7 @@ def _parseval_weights(f: GriddedDensity) -> tuple[np.ndarray, np.ndarray, float]
         # formed from the real and imaginary parts, so q is contiguous:
         # a strided view makes the dot product in jalpha_spectral ~100x slower
         q = (lhat.real * phi.real + lhat.imag * phi.imag) / n
-        q[1:-1] *= 2.0
+        q[1:(n + 1) // 2] *= 2.0
         rule = f.tail_rule()
         tail_mass = 0.0 if rule is None else 2.0 * rule[2] * power_tail_integrals(*rule[:2])[0]
         f._spectral = (q, np.abs(phi), tail_mass)

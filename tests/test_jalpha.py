@@ -33,6 +33,18 @@ def mixture(base, alpha, gamma_s=0.15):
     return Sum(base, SaS(alpha, gamma_s))
 
 
+def complex_fft_reference(f, alpha):
+    """The trapezoid rule over the core (the points within the accurate
+    radius of x[n // 2]) of ln p times the full complex-FFT inverse of
+    |w|^alpha phi."""
+    w = 2.0 * math.pi * np.fft.fftfreq(f.n, d=f.h)
+    phi = np.fft.fft(np.fft.ifftshift(f.values)) * f.h
+    r_fun = np.fft.fftshift(np.fft.ifft(np.abs(w) ** alpha * phi).real) / f.h
+    lp = np.log(np.clip(f.values, 1e-300, None))
+    sel = np.abs(np.arange(f.n) - f.n // 2) * f.h <= f.accurate_radius
+    return float(np.trapezoid(lp[sel] * r_fun[sel], dx=f.h))
+
+
 class TestClosedForm:
     def test_formula(self):
         assert jalpha_closed_stable(1.5, 2.0) == pytest.approx(
@@ -101,13 +113,17 @@ class TestSpectral:
         if asymmetric:
             f = GriddedDensity(f.x0, f.h, 0.7 * f.values + 0.3 * np.roll(f.values, 97), f.tail)
             assert np.max(np.abs(f.values - f.values[::-1])) > 1e-2 * np.max(f.values)
-        w = 2.0 * math.pi * np.fft.fftfreq(f.n, d=f.h)
-        phi = np.fft.fft(np.fft.ifftshift(f.values)) * f.h
-        r_fun = np.fft.fftshift(np.fft.ifft(np.abs(w) ** 1.5 * phi).real) / f.h
-        lp = np.log(np.clip(f.values, 1e-300, None))
-        sel = np.abs(f.x - f.center) <= f.accurate_radius
-        ref = float(np.trapezoid(lp[sel] * r_fun[sel], dx=f.h))
-        assert jalpha_spectral(f, 1.5).value == pytest.approx(ref, rel=1e-13)
+        assert jalpha_spectral(f, 1.5).value == pytest.approx(complex_fft_reference(f, 1.5), rel=1e-13)
+
+    def test_matches_complex_fft_route_odd_n(self):
+        # an odd n, whose half spectrum has no Nyquist bin: S(1, 1) on a
+        # coarse grid, one point short, whose spectrum at the cutoff is
+        # still large enough that weighting the last bin as a Nyquist bin
+        # moves J by about 1e-12
+        f = realize(SaS(1.0, 1.0), GridSpec(1024, 83.0))
+        f = GriddedDensity(f.x0, f.h, f.values[:-1].copy(), f.tail)
+        assert f.n == 1023
+        assert jalpha_spectral(f, 0.8).value == pytest.approx(complex_fft_reference(f, 0.8), rel=1e-13)
 
     def test_alpha_order_does_not_matter(self):
         # the alpha-free weights kept on a density give, in any order of
