@@ -96,7 +96,7 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
         return _GRule(alpha, y, w)
     r, a, c_tail = rule
     i0, i1 = power_tail_integrals(r, a)
-    c1_ref = stable._series_coeffs(alpha, stable.reference_gamma(alpha), 1)[0]
+    c1_ref = stable.tail_law(stable.sas_series(alpha, stable.reference_gamma(alpha))).coefficient
     c0 = -math.log(c1_ref) * i0 + (1.0 + alpha) * i1
     c1 = (1.0 + alpha) * i0
     return _GRule(alpha, y, w, 2.0 * c_tail * c0, 2.0 * c_tail * c1)

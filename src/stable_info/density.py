@@ -4,19 +4,21 @@ A RandomLaw is a small description object (Gaussian, Uniform, Laplace,
 Cauchy, SaS, shift/scale/sum compositions, or an empirical sample set);
 realize() turns any but a sample set into a GriddedDensity, whose
 entropy runs through the tail-corrected quadrature of the grid
-container.
+container.  Every law but a sample set has a closed-form characteristic
+function cf and its small-w series, which give a sum its density and
+every law its power tail (stable.pdf_grid_cf and stable.tail_law).
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import stable
-from .gridded import GriddedDensity, GridSpec, TailLaw
+from .gridded import GriddedDensity, GridSpec
 
 __all__ = [
     "RandomLaw",
@@ -50,45 +52,57 @@ MEMO_POINTS = 2**20
 @dataclass(frozen=True)
 class RandomLaw:
     def scale_hint(self) -> float:
-        """Robust scale proxy used for grid sizing and root brackets."""
-        raise NotImplementedError
+        """Robust scale proxy used for grid sizing and root brackets: for a
+        base law its scale parameter, the last field."""
+        return getattr(self, fields(self)[-1].name)
 
     def mean(self) -> float:
-        raise NotImplementedError
+        """The center: 0 for the symmetric base laws."""
+        return 0.0
 
     def second_moment(self) -> float:
         """E[X^2]; inf for laws with tail exponent < 2."""
         raise NotImplementedError
 
-    def _pdf(self, x: np.ndarray) -> np.ndarray:
+    def cf(self, w) -> np.ndarray:
+        """Characteristic function about the center mean(), real and even."""
         raise NotImplementedError
 
-    def _tail_law(self) -> TailLaw | None:
-        return None
+    def _taylor(self, j: int) -> float:
+        """Coefficient of u^j in the cf of a light base law as a function
+        of u = (scale w)^2."""
+        raise NotImplementedError
+
+    def series(self) -> tuple[tuple, float]:
+        """(terms, order): cf(w) = 1 + sum of A |w|^s over the (s, A) terms,
+        sorted by s, + O(|w|^order); ten powers of u for a light law."""
+        s2 = self.scale_hint() ** 2
+        return tuple((2.0 * j, self._taylor(j) * s2**j) for j in range(1, 11)), 22.0
+
+    def _pdf(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     def _realize_on(self, grid: GridSpec) -> GriddedDensity:
         x = grid.points()
         return GriddedDensity(
-            float(x[0]), grid.h, np.clip(self._pdf(x), 0.0, None), self._tail_law()
+            float(x[0]), grid.h, np.clip(self._pdf(x), 0.0, None), stable.tail_law(self.series())
         ).normalize()
 
 
 @dataclass(frozen=True)
 class Gaussian(RandomLaw):
     sigma: float
+    _taylor = staticmethod(lambda j: (-0.5) ** j / math.factorial(j))
 
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
             raise ValueError("sigma must be positive and finite")
 
-    def scale_hint(self):
-        return self.sigma
-
-    def mean(self):
-        return 0.0
-
     def second_moment(self):
         return self.sigma**2
+
+    def cf(self, w):
+        return np.exp(-0.5 * (self.sigma * w) ** 2)
 
     def _pdf(self, x):
         s2 = self.sigma**2
@@ -100,22 +114,17 @@ class Uniform(RandomLaw):
     """Uniform on [-a, a]."""
 
     a: float
+    _taylor = staticmethod(lambda j: (-1.0) ** j / math.factorial(2 * j + 1))
 
     def __post_init__(self):
         if not 0 < self.a < math.inf:
             raise ValueError("a must be positive and finite")
 
-    def scale_hint(self):
-        return self.a
-
-    def mean(self):
-        return 0.0
-
     def second_moment(self):
         return self.a**2 / 3.0
 
-    def _pdf(self, x):
-        return np.where(np.abs(x) <= self.a, 1.0 / (2 * self.a), 0.0)
+    def cf(self, w):
+        return np.sinc(self.a * w / math.pi)
 
     def _realize_on(self, grid):
         # cell-averaged box: exact CDF differences keep the edge cells
@@ -131,19 +140,17 @@ class Uniform(RandomLaw):
 @dataclass(frozen=True)
 class Laplace(RandomLaw):
     b: float
+    _taylor = staticmethod(lambda j: (-1.0) ** j)
 
     def __post_init__(self):
         if not 0 < self.b < math.inf:
             raise ValueError("b must be positive and finite")
 
-    def scale_hint(self):
-        return self.b
-
-    def mean(self):
-        return 0.0
-
     def second_moment(self):
         return 2.0 * self.b**2
+
+    def cf(self, w):
+        return 1.0 / (1.0 + (self.b * w) ** 2)
 
     def _pdf(self, x):
         return np.exp(-np.abs(x) / self.b) / (2 * self.b)
@@ -157,20 +164,17 @@ class Cauchy(RandomLaw):
         if not 0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
 
-    def scale_hint(self):
-        return self.gamma
-
-    def mean(self):
-        return 0.0
-
     def second_moment(self):
         return math.inf
 
+    def cf(self, w):
+        return stable.cf_sas(1.0, self.gamma, w)
+
+    def series(self):
+        return stable.sas_series(1.0, self.gamma)
+
     def _pdf(self, x):
         return self.gamma / (math.pi * (self.gamma**2 + x**2))
-
-    def _tail_law(self):
-        return TailLaw(exponent=1.0, coefficient=self.gamma / math.pi)
 
 
 @dataclass(frozen=True)
@@ -184,14 +188,14 @@ class SaS(RandomLaw):
         if not 0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
 
-    def scale_hint(self):
-        return self.gamma
-
-    def mean(self):
-        return 0.0
-
     def second_moment(self):
         return 2.0 * self.gamma**2 if self.alpha == 2 else math.inf
+
+    def cf(self, w):
+        return stable.cf_sas(self.alpha, self.gamma, w)
+
+    def series(self):
+        return stable.sas_series(self.alpha, self.gamma)
 
     def _realize_on(self, grid):
         return stable.pdf_grid_sas(self.alpha, self.gamma, grid)
@@ -217,6 +221,12 @@ class Shifted(RandomLaw):
         m = self.law.mean()
         return m2 + 2 * m * self.delta + self.delta**2
 
+    def cf(self, w):
+        return self.law.cf(w)
+
+    def series(self):
+        return self.law.series()
+
     def _realize_on(self, grid):
         # the inner law's density with its grid moved by delta
         base = realize(self.law, grid)
@@ -241,6 +251,14 @@ class Scaled(RandomLaw):
     def second_moment(self):
         return self.c**2 * self.law.second_moment()
 
+    def cf(self, w):
+        return self.law.cf(self.c * w)
+
+    def series(self):
+        terms, order = self.law.series()
+        c = abs(self.c)
+        return tuple((s, a * c**s) for s, a in terms), order
+
     def _realize_on(self, grid):
         # p(x/c)/|c| on grid is the inner law on grid/|c|, relabelled
         # about c times its center; for c < 0 the value at index k is the
@@ -250,13 +268,7 @@ class Scaled(RandomLaw):
         values = base.values / c
         if self.c < 0:
             values = np.roll(values[::-1], 1)
-        tail = None
-        if base.tail is not None:
-            tail = TailLaw(
-                base.tail.exponent,
-                base.tail.coefficient * c**base.tail.exponent,
-                tuple((ek, ck * c**ek) for ek, ck in base.tail.extra),
-            )
+        tail = stable.tail_law(self.series())
         return GriddedDensity(self.c * base.center - grid.half_extent, grid.h, values, tail)
 
 
@@ -280,10 +292,25 @@ class Sum(RandomLaw):
             + 2 * self.law1.mean() * self.law2.mean()
         )
 
+    def cf(self, w):
+        return self.law1.cf(w) * self.law2.cf(w)
+
+    def series(self):
+        """The product of the two series, equal powers merged: exact below
+        the smaller order, so stables of one alpha give their sum's series."""
+        (t1, o1), (t2, o2) = self.law1.series(), self.law2.series()
+        order = min(o1, o2)
+        out = {}
+        for s1, a1 in ((0.0, 1.0),) + t1:
+            for s2, a2 in ((0.0, 1.0),) + t2:
+                s, key = s1 + s2, round(s1 + s2, 9)
+                if 0 < s < order - 1e-9:
+                    s0, a = out.get(key, (s, 0.0))
+                    out[key] = (s0, a + a1 * a2)
+        return tuple(sorted(out.values())), order
+
     def _realize_on(self, grid):
-        f = realize(self.law1, grid)
-        g = realize(self.law2, grid)
-        return convolve(f, g)
+        return convolve(self, grid)
 
 
 @dataclass(frozen=True)
@@ -317,21 +344,12 @@ class Empirical(RandomLaw):
 
 
 def _spectral_reach(law: RandomLaw) -> float:
-    """Frequency by which |w|^alpha phi(w) of the law's heavy stable
-    factors has died out: 36^(1/r)/gamma for S(r, gamma), whose
-    characteristic function is exp(-(gamma w)^r); 0 when no factor needs
-    one.  Scaling by c divides it by |c|, and the characteristic
-    functions of a sum multiply, so the smaller reach of two factors
-    suffices."""
-    if isinstance(law, SaS):
-        return 36.0 ** (1.0 / law.alpha) / law.gamma
-    if isinstance(law, Shifted):
-        return _spectral_reach(law.law)
-    if isinstance(law, Scaled):
-        return _spectral_reach(law.law) / abs(law.c)
-    if isinstance(law, Sum):
-        return min(_spectral_reach(law.law1), _spectral_reach(law.law2))
-    return 0.0
+    """Frequency by which |w|^alpha phi(w) of the law's heavy stable part
+    has died out: (36/|A|)^(1/r) from the leading term A |w|^r of its
+    series, as phi ~ exp(A |w|^r) (36^(1/r)/gamma for S(r, gamma)); 0
+    when r >= 2."""
+    (r, a), *_ = law.series()[0]
+    return (36.0 / -a) ** (1.0 / r) if r < 2 else 0.0
 
 
 def plan_grid(law: RandomLaw, alpha: float | None = None) -> GridSpec:
@@ -372,50 +390,9 @@ def realize(law: RandomLaw, grid: GridSpec | None = None) -> GriddedDensity:
     return f
 
 
-def _combine_tails(t1: TailLaw | None, t2: TailLaw | None) -> TailLaw | None:
-    # power tails dominate light tails; among two power tails the
-    # heavier (smaller exponent) wins, equal exponents add coefficients
-    if t1 is None:
-        return t2
-    if t2 is None:
-        return t1
-    if t1.exponent < t2.exponent:
-        return t1
-    if t2.exponent < t1.exponent:
-        return t2
-    return TailLaw(t1.exponent, t1.coefficient + t2.coefficient)
-
-
-def convolve(f: GriddedDensity, g: GriddedDensity) -> GriddedDensity:
-    """Linear convolution of two densities on grids of one spacing via
-    FFT with zero padding, centered at the sum of their centers.
-
-    Both inputs are padded to the power of two at or above
-    f.n + g.n - 1, the length of their linear convolution, so nothing
-    wraps around.  Beyond the input extents the result is dominated by
-    what the truncated inputs are missing, so the output is cropped
-    back to the larger of the two input extents; the combined tail law
-    stands in outside."""
-    if not math.isclose(f.h, g.h, rel_tol=1e-12):
-        raise ValueError(f"grid spacings differ: {f.h:g} and {g.h:g}")
-    h = f.h
-    n_out = 1 << math.ceil(math.log2(f.n + g.n - 1))
-
-    def embed(d: GriddedDensity) -> np.ndarray:
-        buf = np.zeros(n_out)
-        i0 = n_out // 2 - d.n // 2
-        buf[i0 : i0 + d.n] = d.values
-        return buf
-
-    pf = np.fft.rfft(np.fft.ifftshift(embed(f)))
-    pg = np.fft.rfft(np.fft.ifftshift(embed(g)))
-    conv = np.fft.fftshift(np.fft.irfft(pf * pg, n=n_out)) * h
-    n_keep = max(f.n, g.n)
-    i0 = n_out // 2 - n_keep // 2
-    vals = conv[i0 : i0 + n_keep]
-    x0 = f.center + g.center - (n_keep // 2) * h
-    out = GriddedDensity(
-        x0, h, np.clip(vals, 0.0, None), _combine_tails(f.tail, g.tail)
-    )
-    return out.normalize()
-
+def convolve(law: Sum, grid: GridSpec) -> GriddedDensity:
+    """The density of a sum of independent laws on grid, moved to its
+    center law.mean(): stable.pdf_grid_cf of the product of the parts'
+    characteristic functions, with the tail of the product of their series."""
+    f = stable.pdf_grid_cf(law.cf, stable.tail_law(law.series()), grid, repr(law))
+    return GriddedDensity(law.mean() + f.x0, f.h, f.values, f.tail)

@@ -14,9 +14,8 @@ the first J of a density and kept on it, so J at a further alpha needs
 no FFT.
 
 The spectral route needs |w|^alpha phi integrable; laws whose
-characteristic function decays too slowly (uniform, Laplace, empirical
-kernels with sharp features) are pre-smoothed by a tiny stable
-perturbation first.
+characteristic function decays too slowly (Uniform, Laplace and sums
+of them) are pre-smoothed by a tiny stable perturbation first.
 """
 
 from __future__ import annotations

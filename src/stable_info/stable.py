@@ -1,13 +1,14 @@
-"""Univariate symmetric alpha-stable engine.
+"""Univariate symmetric alpha-stable engine, with the FFT inverter of
+characteristic functions that sums of laws share.
 
 Densities come from Fourier inversion of the characteristic function on
 a uniform grid.  The characteristic function is real and even, so one
 real inverse FFT (irfft) of its values at the non-negative frequencies
 does the inversion.  The FFT returns the periodized density: on [-L, L)
-it holds p(x) plus every wrap-around image p(x + 2Lm), m != 0.  For
-alpha < 2 the images are described by the asymptotic tail series
-sum_k c_k |x|^(-s_k), and the sum of each term over all images has a
-closed form in the Hurwitz zeta function,
+it holds p(x) plus every wrap-around image p(x + 2Lm), m != 0.  For a
+law with a power tail the images follow its asymptotic tail series
+sum_k c_k |x|^(-s_k) (tail_law), and the sum of each term over all
+images has a closed form in the Hurwitz zeta function,
 
     sum_{m>=1} |x +- 2Lm|^(-s) = (2L)^(-s) zeta(s, 1 +- x/2L),
 
@@ -35,6 +36,10 @@ __all__ = [
     "StableParams",
     "tail_constant_k1",
     "reference_gamma",
+    "cf_sas",
+    "sas_series",
+    "tail_law",
+    "pdf_grid_cf",
     "pdf_grid_sas",
     "sas_density",
     "logpdf_sas",
@@ -96,30 +101,45 @@ def tail_constant_k1(alpha: float, d: int) -> float:
     )
 
 
-def _series_coeffs(alpha: float, gamma: float, k: int = _TAIL_TERMS) -> np.ndarray:
-    """Coefficients c_k of the asymptotic expansion
-    p(x) ~ sum_k c_k |x|^(-(k alpha + 1)) for a symmetric stable density."""
-    ks = np.arange(1, k + 1)
-    return (
-        (1.0 / math.pi)
-        * (-1.0) ** (ks + 1)
-        * np.array([gamma_fn(j * alpha + 1.0) / gamma_fn(j + 1.0) for j in ks])
-        * np.sin(ks * math.pi * alpha / 2.0)
-        * gamma ** (ks * alpha)
-    )
+def cf_sas(alpha: float, gamma: float, w) -> np.ndarray:
+    """Characteristic function exp(-(gamma |w|)^alpha) of S(alpha, gamma)."""
+    return np.exp(-(gamma**alpha) * np.abs(w) ** alpha)
 
 
-def _alias_images(x, alpha: float, gamma: float, L: float) -> np.ndarray:
-    """Tail series summed over every wrap-around image x +- 2Lm, m >= 1,
-    at points x in [-L, L]: sum_k c_k (2L)^(-s_k) [zeta(s_k, 1 + u) +
-    zeta(s_k, 1 - u)] with s_k = k alpha + 1 and u = x/2L, evaluated at
-    the Chebyshev nodes only and interpolated from there.
+@functools.lru_cache(maxsize=256)
+def sas_series(alpha: float, gamma: float) -> tuple[tuple, float]:
+    """Series (terms, order) of cf_sas: (k alpha, (-gamma^alpha)^k / k!)
+    for k = 1 .. _TAIL_TERMS, exact below the order (_TAIL_TERMS + 1) alpha."""
+    ga = gamma**alpha
+    terms = tuple((k * alpha, (-ga) ** k / math.factorial(k)) for k in range(1, _TAIL_TERMS + 1))
+    return terms, (_TAIL_TERMS + 1) * alpha
+
+
+def tail_law(series: tuple[tuple, float]) -> TailLaw | None:
+    """The power tail of a symmetric law from the series (terms, order)
+    of its characteristic function, phi(w) = 1 + sum of A |w|^s + O(|w|^order).
+    A term with s not an even integer gives the tail term
+    -A Gamma(s + 1) sin(pi s / 2) / pi |x|^(-1 - s) (Nolan 1997); even
+    powers of w add none.  None when no term is left."""
+    tail = [
+        (s, 1.0 / math.pi * gamma_fn(s + 1.0) * math.sin(math.pi * s / 2.0) * -a)
+        for s, a in series[0]
+        if abs(s / 2.0 - round(s / 2.0)) > 1e-9
+    ]
+    return TailLaw(*tail[0], tuple(tail[1:])) if tail else None
+
+
+def _alias_images(x, tail: TailLaw, L: float) -> np.ndarray:
+    """The tail series sum_k c_k |x|^(-s_k) summed over every wrap-around
+    image x +- 2Lm, m >= 1, at points x in [-L, L]: sum_k c_k (2L)^(-s_k)
+    [zeta(s_k, 1 + u) + zeta(s_k, 1 - u)] with u = x/2L, evaluated at the
+    Chebyshev nodes only and interpolated from there.
 
     The sum is even, so only the even coefficients of its interpolant
     are kept, and T_2k(t) = T_k(2t^2 - 1) turns them into a series of
     half the degree in 2(x/L)^2 - 1."""
-    c = _series_coeffs(alpha, gamma)
-    s = np.arange(1, _TAIL_TERMS + 1) * alpha + 1.0
+    e, c = np.array(((tail.exponent, tail.coefficient),) + tail.extra).T
+    s = e + 1.0
     weights = c * (2.0 * L) ** (-s)
 
     def image_sum(t):
@@ -130,30 +150,52 @@ def _alias_images(x, alpha: float, gamma: float, L: float) -> np.ndarray:
     return even(2.0 * (x / L) ** 2 - 1.0)
 
 
-def _tail_law(alpha: float, gamma: float) -> TailLaw:
-    c = _series_coeffs(alpha, gamma)
-    extra = tuple((i * alpha, float(ci)) for i, ci in enumerate(c[1:], start=2))
-    return TailLaw(exponent=alpha, coefficient=float(c[0]), extra=extra)
+def pdf_grid_cf(cf, tail: TailLaw | None, grid: GridSpec, label: str) -> GriddedDensity:
+    """Density on grid, centered at 0, by FFT inversion of a real, even
+    characteristic function cf (Mittnik, Doganoglu & Chenyao 1999): one
+    size-n irfft of cf at the non-negative frequencies.
+
+    While |cf| is above e^-27 (~2e-12) at the fine Nyquist frequency W
+    or at sqrt(2) W (an irrational multiple, so that a zero of an
+    oscillating cf such as a sinc at W does not pass for decay), the
+    spectrum is sampled `stride` = 2, 4, ... times finer and folded onto
+    the n frequencies: exactly the aliasing of keeping every stride-th
+    point of the fine inversion.  At the 2^22-point cap a law with a
+    power tail raises ArithmeticError; a light law, whose cf may decay
+    only like a power of w (Uniform's), is inverted there and keeps the
+    truncation error.  The wrap-around images of a tail law are removed
+    by _alias_images on the half grid x <= 0, mirrored onto x > 0."""
+    h, n = grid.h, grid.n
+    x = grid.points()
+    probe = math.pi / h * np.array([1.0, math.sqrt(2.0)])
+    stride = 1
+    while np.max(np.abs(cf(stride * probe))) > math.exp(-27.0):
+        if n * stride * 2 > 2**22:
+            if tail is None:
+                break
+            raise ArithmeticError(
+                f"{label} cannot be realized at grid spacing {h:g}: its characteristic "
+                "function keeps mass beyond the Nyquist frequency even at the refinement "
+                "cap of 2^22 points"
+            )
+        stride *= 2
+    w = 2.0 * math.pi * np.fft.rfftfreq(n * stride, d=h / stride)
+    phi = cf(w)
+    if stride > 1:
+        # the full spectrum in fftfreq order (phi is even), folded
+        full = np.concatenate([phi, phi[-2:0:-1]])
+        phi = full.reshape(stride, n).sum(axis=0)[: n // 2 + 1]
+    p = np.fft.fftshift(np.fft.irfft(phi, n)) / h
+    if tail is not None:
+        # x[: n//2 + 1] runs from -L to 0 and holds every |x| of the grid
+        images = _alias_images(x[: n // 2 + 1], tail, grid.half_extent)
+        p -= np.concatenate([images, images[-2:0:-1]])
+    return GriddedDensity(float(x[0]), h, np.clip(p, 0.0, None), tail).normalize()
 
 
 def pdf_grid_sas(alpha: float, gamma: float, grid: GridSpec) -> GriddedDensity:
-    """Symmetric stable density on a grid by FFT inversion of the
-    characteristic function.
-
-    The characteristic function is sampled at the non-negative
-    frequencies and inverted by one size-n irfft.  When the grid spacing
-    leaves characteristic-function mass beyond the Nyquist frequency,
-    the spectrum is sampled on a grid `stride` times finer and folded
-    onto the n requested frequencies (the fine spectrum summed over
-    frequencies that differ by multiples of n/h); this is exact, since
-    keeping every stride-th point of the fine inversion is the same
-    aliasing.
-
-    For alpha < 2 the wrap-around images the FFT folds onto the grid are
-    removed exactly: each term of the tail series, summed over all
-    images, is a pair of Hurwitz zeta values (see the module docstring),
-    interpolated from 33 Chebyshev nodes and evaluated on the half grid
-    x <= 0, which the evenness of the sum mirrors onto x > 0."""
+    """Symmetric stable density on a grid: pdf_grid_cf of cf_sas with
+    the tail of sas_series, or the closed form at alpha = 2."""
     if not 0 < alpha <= 2:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
     if not gamma > 0:
@@ -164,39 +206,16 @@ def pdf_grid_sas(alpha: float, gamma: float, grid: GridSpec) -> GriddedDensity:
             "into the heavy-tail regime",
             stacklevel=2,
         )
-    h = grid.h
-    x = grid.points()
     if alpha == 2:
         # closed form N(0, 2 gamma^2); the FFT route matches it to
         # machine precision but leaves roundoff noise in the far tail
+        x = grid.points()
         var = 2.0 * gamma**2
         p = np.exp(-(x**2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-        return GriddedDensity(float(x[0]), h, p, None).normalize()
-    # refine the spectrum (same extent, more points) until the
-    # characteristic function has decayed below ~2e-12 at the Nyquist
-    # edge of the fine grid
-    stride = 1
-    while (gamma * math.pi / (h / stride)) ** alpha < 27.0:
-        stride *= 2
-        if grid.n * stride > 2**22:
-            raise ArithmeticError(
-                f"S(alpha={alpha}, gamma={gamma:g}) cannot be realized at grid "
-                f"spacing {h:g}: its characteristic function keeps mass beyond "
-                "the Nyquist frequency even at the refinement cap of 2^22 points"
-            )
-    n = grid.n
-    w = 2.0 * math.pi * np.fft.rfftfreq(n * stride, d=h / stride)
-    phi = np.exp(-(gamma**alpha) * w**alpha)
-    if stride > 1:
-        # the full spectrum in fftfreq order (phi is even), folded
-        full = np.concatenate([phi, phi[-2:0:-1]])
-        phi = full.reshape(stride, n).sum(axis=0)[: n // 2 + 1]
-    p = np.fft.fftshift(np.fft.irfft(phi, n)) / h
-    # x[: n//2 + 1] runs from -L to 0 and holds every |x| of the grid
-    images = _alias_images(x[: n // 2 + 1], alpha, gamma, grid.half_extent)
-    p -= np.concatenate([images, images[-2:0:-1]])
-    out = GriddedDensity(float(x[0]), h, np.clip(p, 0.0, None), _tail_law(alpha, gamma))
-    return out.normalize()
+        return GriddedDensity(float(x[0]), grid.h, p, None).normalize()
+    label = f"S(alpha={alpha}, gamma={gamma:g})"
+    tail = tail_law(sas_series(alpha, gamma))
+    return pdf_grid_cf(functools.partial(cf_sas, alpha, gamma), tail, grid, label)
 
 
 def sas_density(alpha: float, gamma: float) -> GriddedDensity:

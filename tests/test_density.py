@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from stable_info.density import (
     MEMO_POINTS,
@@ -16,32 +17,12 @@ from stable_info.density import (
     Shifted,
     Sum,
     Uniform,
-    _combine_tails,
     convolve,
     plan_grid,
     realize,
 )
 from stable_info.gridded import GriddedDensity, GridSpec
-
-
-def padded_convolution(f, g):
-    """convolve padded to 2 (L_f + L_g)/h + 2 points rounded up to a
-    power of two: 4n for two n-point grids, twice the linear length."""
-    h = f.h
-    n_out = 1 << math.ceil(math.log2(2.0 * (f.half_extent + g.half_extent) / h + 2))
-
-    def spectrum(d):
-        buf = np.zeros(n_out)
-        i0 = n_out // 2 - d.n // 2
-        buf[i0 : i0 + d.n] = d.values
-        return np.fft.rfft(np.fft.ifftshift(buf))
-
-    conv = np.fft.fftshift(np.fft.irfft(spectrum(f) * spectrum(g), n=n_out)) * h
-    n_keep = max(f.n, g.n)
-    i0 = n_out // 2 - n_keep // 2
-    vals = np.clip(conv[i0 : i0 + n_keep], 0.0, None)
-    tail = _combine_tails(f.tail, g.tail)
-    return GriddedDensity(-(n_keep // 2) * h, h, vals, tail).normalize()
+from stable_info.jalpha import jalpha_spectral
 
 
 class TestClosedFormRealizations:
@@ -141,41 +122,85 @@ class TestSum:
         f = realize(Sum(Cauchy(1.0), Gaussian(1.0)))
         assert f.tail is not None and f.tail.exponent == 1.0
 
+    def test_tail_keeps_the_variance_term(self):
+        # cf = (1 - b^2 w^2 + ...)(1 - g^a |w|^a + ...): the cross term
+        # b^2 g^a |w|^(a+2) gives the tail term
+        # -b^2 g^a Gamma(a + 3) sin(pi (a + 2) / 2) / pi |x|^(-3-a)
+        a, b, g = 1.5, 0.8, 1.3
+        tail = realize(Sum(Laplace(b), SaS(a, g))).tail
+        cross = dict(tail.extra)[a + 2.0]
+        want = -(b**2) * g**a * math.gamma(a + 3.0) * math.sin(math.pi * (a + 2.0) / 2.0) / math.pi
+        assert cross == pytest.approx(want, rel=1e-14)
+        assert tail.exponent == a
+
+    @pytest.mark.parametrize("x", [0.0, 1.0, 5.0, 20.0])
+    def test_density_matches_cf_quadrature(self, x):
+        # an oracle apart from the FFT: p(x) = (1/pi) int_0^inf phi(w) cos(wx) dw,
+        # with phi below 1e-200 beyond w = 60
+        def phi(w):
+            return math.exp(-(w**1.5)) / (1.0 + w * w)
+
+        cos = {} if x == 0 else {"weight": "cos", "wvar": x}
+        want = quad(phi, 0.0, 60.0, epsabs=1e-14, epsrel=1e-11, limit=2000, **cos)[0]
+        f = realize(Sum(Laplace(1.0), SaS(1.5, 1.0)))
+        assert float(f.pdf(x)) == pytest.approx(want / math.pi, rel=1e-8)
+
+    def test_laplace_pair_entropy(self):
+        # Laplace(1) + Laplace(1) has the density (1 + |x|) e^(-|x|) / 4
+        def plogp(x):
+            p = (1.0 + x) * math.exp(-x) / 4.0
+            return -p * math.log(p)
+
+        want = 2.0 * quad(plogp, 0.0, 300.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        assert want == pytest.approx(2.0881206800, abs=1e-10)
+        h = realize(Sum(Laplace(1.0), Laplace(1.0))).entropy()
+        assert h == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "grid", [None, GridSpec(2**16, 256.0)], ids=["planned", "sinc-zero-at-nyquist"]
+    )
+    def test_uniform_pair_entropy(self, grid):
+        # the triangle (2 - |x|)/4 on [-2, 2], h = 1/2 + ln 2.  Its cf
+        # sinc(w)^2 decays like w^-2, so it is inverted at the 2^22-point
+        # cap; on the second grid every refined Nyquist frequency, 128 pi
+        # times the stride, is a zero of it (stopping there at stride 1
+        # leaves 4e-4 pointwise)
+        f = realize(Sum(Uniform(1.0), Uniform(1.0)), grid)
+        assert f.tail is None
+        assert np.max(np.abs(f.values - np.clip(2.0 - np.abs(f.x), 0.0, None) / 4.0)) <= 2e-5
+        assert f.entropy() == pytest.approx(0.5 + math.log(2.0), abs=3e-5)
+
+    @given(st.floats(0.6, 1.9), st.floats(0.5, 2.0), st.floats(0.5, 2.0))
+    @settings(max_examples=15, deadline=None)
+    def test_stable_pair_is_its_equal_law(self, alpha, g1, g2):
+        # S(a, g1) + S(a, g2) = S(a, (g1^a + g2^a)^(1/a)), on one shared grid
+        law = SaS(alpha, (g1**alpha + g2**alpha) ** (1.0 / alpha))
+        grid = plan_grid(law, 1.5)
+        f = realize(Sum(SaS(alpha, g1), SaS(alpha, g2)), grid)
+        ref = realize(law, grid)
+        assert np.max(np.abs(f.values - ref.values)) <= 1e-12 * np.max(ref.values)
+        j = jalpha_spectral(f, 1.5).value
+        assert j == pytest.approx(jalpha_spectral(ref, 1.5).value, rel=1e-10)
+
 
 class TestConvolve:
     def test_commutative(self):
         g = GridSpec(n=2**12, half_extent=30.0)
-        f1 = realize(Gaussian(1.0), g)
-        f2 = realize(Laplace(1.0), g)
-        a = convolve(f1, f2)
-        b = convolve(f2, f1)
+        a = convolve(Sum(Gaussian(1.0), Laplace(1.0)), g)
+        b = convolve(Sum(Laplace(1.0), Gaussian(1.0)), g)
         assert np.allclose(a.values, b.values, rtol=1e-10, atol=1e-14)
 
-    def test_matches_4n_padding(self):
-        g = GridSpec(n=2**12, half_extent=30.0)
-        f1 = realize(Laplace(1.0), g)
-        f2 = realize(SaS(1.5, 0.7), g)
-        new = convolve(f1, f2)
-        old = padded_convolution(f1, f2)
-        assert np.max(np.abs(new.values - old.values)) <= 1e-15 * np.max(old.values)
-
     def test_gaussian_closed_form(self):
-        # N(0, 1) * N(0, 1) = N(0, 2)
+        # N(0, 1) + N(0, 1) = N(0, 2)
         g = GridSpec(n=2**12, half_extent=40.0)
-        out = convolve(realize(Gaussian(1.0), g), realize(Gaussian(1.0), g))
+        out = convolve(Sum(Gaussian(1.0), Gaussian(1.0)), g)
         exact = np.exp(-(out.x**2) / 4.0) / math.sqrt(4.0 * math.pi)
         assert np.max(np.abs(out.values - exact)) <= 1e-15
 
     def test_mass_preserved(self):
         g = GridSpec(n=2**12, half_extent=40.0)
-        out = convolve(realize(Gaussian(1.0), g), realize(Gaussian(1.0), g))
+        out = convolve(Sum(Gaussian(1.0), Gaussian(1.0)), g)
         assert out.total_mass() == pytest.approx(1.0, abs=1e-9)
-
-    def test_different_spacings_rejected(self):
-        f1 = realize(Gaussian(1.0), GridSpec(n=2**12, half_extent=40.0))
-        f2 = realize(Gaussian(1.0), GridSpec(n=2**12, half_extent=30.0))
-        with pytest.raises(ValueError):
-            convolve(f1, f2)
 
 
 class TestEmpirical:
@@ -187,6 +212,11 @@ class TestEmpirical:
         # alpha_power reads the samples themselves; nothing realizes them
         with pytest.raises(NotImplementedError):
             realize(Empirical((0.0, 1.0, 2.5)))
+
+    def test_sum_part_has_no_cf(self):
+        # never a silent cf = 1 for the sample set
+        with pytest.raises(NotImplementedError):
+            realize(Sum(Empirical((0.0, 1.0, 2.5)), Gaussian(1.0)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

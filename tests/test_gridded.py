@@ -15,7 +15,7 @@ from stable_info.gridded import (
     _not_a_knot,
     power_tail_integrals,
 )
-from stable_info.stable import _tail_law, sas_density
+from stable_info.stable import sas_density, sas_series, tail_law
 
 
 def gaussian_grid(sigma=1.0, n=2**14, L=12.0):
@@ -56,7 +56,7 @@ class TestTailLaw:
 
     @pytest.mark.parametrize(
         "tail",
-        [_tail_law(a, 1.0) for a in (0.4, 1.2, 1.8)]
+        [tail_law(sas_series(a, 1.0)) for a in (0.4, 1.2, 1.8)]
         + [TailLaw(exponent=1.0, coefficient=0.5, extra=((2.0, -0.1),))],
         ids=["stable-0.4", "stable-1.2", "stable-1.8", "extra"],
     )

@@ -12,18 +12,17 @@ from stable_info.gridded import GriddedDensity, GridSpec
 from stable_info.specfun import gamma_fn
 from stable_info.stable import (
     _ALIAS_DEGREE,
-    _TAIL_TERMS,
     StableParams,
     _alias_images,
-    _series_coeffs,
-    _tail_law,
     logpdf_sas,
     pdf_grid_sas,
     reference_entropy,
     reference_gamma,
     sample_sas,
     sas_density,
+    sas_series,
     tail_constant_k1,
+    tail_law,
 )
 
 
@@ -31,11 +30,22 @@ def cauchy_pdf(x, gamma):
     return gamma / (math.pi * (x**2 + gamma**2))
 
 
+def sas_tail(alpha, gamma):
+    return tail_law(sas_series(alpha, gamma))
+
+
+def tail_terms(tail):
+    """Exponents s_k = 1 + e_k and coefficients c_k of the tail series
+    sum_k c_k |x|^(-s_k)."""
+    e, c = np.array(((tail.exponent, tail.coefficient),) + tail.extra).T
+    return e + 1.0, c
+
+
 def full_alias_interpolant(x, alpha, gamma, L):
     """The image sum's degree-32 interpolant with every coefficient,
     odd ones included, evaluated at x/L."""
-    s = np.arange(1, _TAIL_TERMS + 1) * alpha + 1.0
-    weights = _series_coeffs(alpha, gamma) * (2.0 * L) ** (-s)
+    s, c = tail_terms(sas_tail(alpha, gamma))
+    weights = c * (2.0 * L) ** (-s)
 
     def image_sum(t):
         u = t[:, None] / 2.0
@@ -58,7 +68,7 @@ def fine_grid_pdf(alpha, gamma, grid):
     phi = np.exp(-(gamma**alpha) * np.abs(w) ** alpha)
     p = np.fft.fftshift(np.fft.ifft(phi).real)[::stride] / h_fine
     p -= full_alias_interpolant(x, alpha, gamma, grid.half_extent)
-    out = GriddedDensity(float(x[0]), h, np.clip(p, 0.0, None), _tail_law(alpha, gamma))
+    out = GriddedDensity(float(x[0]), h, np.clip(p, 0.0, None), sas_tail(alpha, gamma))
     return out.normalize(), stride
 
 
@@ -171,12 +181,12 @@ class TestAliasCorrection:
         x = grid.points()[:: grid.n // 256]
         x = np.append(x, L)
         assert x.size == 257
-        s = np.arange(1, _TAIL_TERMS + 1) * alpha + 1.0
+        s, c = tail_terms(sas_tail(alpha, 1.0))
         u = x[:, None] / (2.0 * L)
-        terms = _series_coeffs(alpha, 1.0) * (2.0 * L) ** (-s)
+        terms = c * (2.0 * L) ** (-s)
         direct = (terms * (zeta(s, 1.0 + u) + zeta(s, 1.0 - u))).sum(axis=1)
         peak = float(np.max(pdf_grid_sas(alpha, 1.0, grid).values))
-        assert np.max(np.abs(_alias_images(x, alpha, 1.0, L) - direct)) <= 1e-15 * peak
+        assert np.max(np.abs(_alias_images(x, sas_tail(alpha, 1.0), L) - direct)) <= 1e-15 * peak
 
     @pytest.mark.parametrize("alpha", [0.4, 1.2, 1.8])
     def test_even_series_matches_full_interpolant(self, alpha):
@@ -187,7 +197,7 @@ class TestAliasCorrection:
         L = grid.half_extent
         full = full_alias_interpolant(x, alpha, 1.0, L)
         peak = float(np.max(pdf_grid_sas(alpha, 1.0, grid).values))
-        assert np.max(np.abs(_alias_images(x, alpha, 1.0, L) - full)) <= 1e-15 * peak
+        assert np.max(np.abs(_alias_images(x, sas_tail(alpha, 1.0), L) - full)) <= 1e-15 * peak
 
     @pytest.mark.parametrize(
         "alpha, gamma, stride", [(0.4, reference_gamma(0.4), 8), (1.5, 1.0, 1)]

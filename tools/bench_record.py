@@ -12,8 +12,9 @@ traced, keeping the median of each per-layer metric.  It also times
 the default CLI commands (and a bare import of the CLI) as
 subprocesses, start-up included, --cli-repeats times each.  The CLI and
 the benchmark workers both run single-threaded (OMP, OpenBLAS and MKL
-threads set to 1).  The file also holds nproc and the python, numpy
-and scipy versions.
+threads set to 1).  The file also holds nproc, the python, numpy
+and scipy versions, and src_lines, the line count of
+src/stable_info/*.py as `wc -l` gives it (the ROADMAP tracks it).
 
 The output is written to --out (default: the checkout).  Exits 1 if a
 benchmark run fails, reports "correct": false or a failed operation, or
@@ -127,6 +128,11 @@ def time_cli(repo: Path, repeats: int) -> tuple[dict, bool]:
     return out, ok
 
 
+def src_lines(repo: Path) -> int:
+    """Newlines in src/stable_info/*.py: the total `wc -l` prints."""
+    return sum(p.read_bytes().count(b"\n") for p in (repo / "src" / "stable_info").glob("*.py"))
+
+
 def git_commit(repo: Path) -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
@@ -151,6 +157,7 @@ def main(argv=None) -> int:
     doc = {
         "label": args.label,
         "commit": git_commit(repo),
+        "src_lines": src_lines(repo),
         "machine": {
             "nproc": os.cpu_count(),
             "platform": platform.platform(),
