@@ -5,15 +5,17 @@ The power of order alpha of a law X is the unique P > 0 with
     g(P) = -E[ln p_ref(X / P)] = h(ref)
 
 where ref is the unit-power reference stable law.  g is continuous and
-strictly decreasing with the right limit behavior, so a bracketed root
-finder is sound.  Closed-form fast paths cover alpha = 2 (root mean
-square) and stable inputs at matching alpha.
+strictly decreasing, and smooth in t = ln P, where one pass over the
+quadrature nodes gives both g and dg/dt.  So the root is found by
+Newton's method in t, safeguarded as in rtsafe (Numerical Recipes):
+steps are capped until the root is bracketed, then a step that leaves
+the bracket is replaced by bisection.  Closed-form fast paths cover
+alpha = 2 (root mean square) and stable inputs at matching alpha.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +27,11 @@ from .gridded import power_tail_integrals
 
 __all__ = ["AlphaPowerResult", "g_of_P", "alpha_power"]
 
-# relative tolerance on P, solved as an absolute one on ln P
-ROOT_RTOL = 1e-9
-BRACKET_SPAN = 50.0
+# the root is returned once the Newton step in ln P falls below ROOT_TOL
+ROOT_TOL = 1e-12
+# g evaluations allowed per root; each unbracketed step moves ln P by at
+# most ln 8, so the start may be off by a factor of 8^MAX_STEPS
+MAX_STEPS = 100
 
 
 @dataclass
@@ -45,7 +49,8 @@ class AlphaPowerResult:
 @dataclass(frozen=True)
 class _GRule:
     """g(P) = -sum_i w_i ln p_ref(y_i / P) + c0 - c1 ln P for one (law,
-    alpha), so each evaluation is one reference log-density call.
+    alpha), over nodes y sorted ascending from 0, so each evaluation is
+    one reference log-density call.
 
     c0 - c1 ln P is the analytic correction for the mass beyond the grid
     (the reference log-density is asymptotically -ln c1_ref +
@@ -57,10 +62,14 @@ class _GRule:
     c0: float = 0.0
     c1: float = 0.0
 
-    def __call__(self, P: float) -> float:
-        gam_ref = stable.reference_gamma(self.alpha)
-        core = -float(self.w @ stable.logpdf_sas(self.alpha, gam_ref, self.y / P))
-        return core + self.c0 - self.c1 * math.log(P)
+    def __call__(self, P: float) -> tuple[float, float]:
+        """g(P) and dg/dt at t = ln P: with u = y / P, dg/dt is
+        sum_i w_i u_i (ln p_ref)'(u_i) - c1.  Both sums are numpy's
+        pairwise sums, so the digits do not depend on the thread count."""
+        u = self.y / P
+        lp, dlp = stable.logpdf_sas(self.alpha, stable.reference_gamma(self.alpha), u, slope=True)
+        g = self.c0 - self.c1 * math.log(P) - np.add.reduce(self.w * lp)
+        return float(g), float(np.add.reduce(self.w * u * dlp) - self.c1)
 
 
 def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
@@ -73,7 +82,7 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
     Of the N nodes, those with weight below
     1e-17 / (700 N) are dropped: logpdf is floor-clamped, so
     |ln p_ref| <= |ln 1e-300| < 700 and the dropped terms together move
-    g by less than 1e-17, eight orders below ROOT_RTOL.  Light tails
+    g by less than 1e-17, five orders below ROOT_TOL.  Light tails
     lose most of their nodes (Laplace(1) keeps 8,355 of 32,768),
     heavy tails keep all of theirs."""
     if isinstance(law, Empirical):
@@ -89,6 +98,8 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
         y = f.h * np.arange(w.size)
     else:
         y = np.abs(f.x[f.core])
+        order = np.argsort(y, kind="stable")
+        y, w = y[order], w[order]
     keep = np.flatnonzero(w >= 1e-17 / (700.0 * w.size))
     y, w = y[keep], w[keep]
     rule = None if alpha == 2 else f.tail_rule()
@@ -102,71 +113,11 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
     return _GRule(alpha, y, w, 2.0 * c_tail * c0, 2.0 * c_tail * c1)
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
-    """A root of f in [xa, xb], where f changes sign.
-
-    A line-for-line port of the C brentq that scipy.optimize.brentq
-    calls, with its default rtol (4 eps) and maxiter: it evaluates f at
-    the same points in the same order and returns the same float.
-    Running out of iterations raises ArithmeticError, as does a NaN
-    value of f."""
-    rtol = 4 * sys.float_info.epsilon
-
-    def call(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ArithmeticError(f"root function is NaN at {x}")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise ArithmeticError(f"brentq did not converge in {maxiter} iterations")
-
-
 def g_of_P(law: RandomLaw, alpha: float, P: float) -> float:
     """-E[ln p_ref(X/P)] for the reference law of the given alpha."""
     if not P > 0:
         raise ValueError("P must be positive")
-    return _g_rule(law, alpha)(P)
+    return _g_rule(law, alpha)(P)[0]
 
 
 def _matching_stable_scale(law: RandomLaw, alpha: float) -> float | None:
@@ -230,33 +181,25 @@ def alpha_power(law: RandomLaw, alpha: float) -> AlphaPowerResult:
 
     h_ref = stable.reference_entropy(alpha)
     g = _g_rule(law, alpha)
-    seen = {}
-
-    def excess(t):
-        # g(e^t) - h(ref), each point evaluated once
-        if t not in seen:
-            seen[t] = g(math.exp(t)) - h_ref
-        return seen[t]
-
-    # solve in t = ln P: an absolute xtol on t is a relative one on P
-    scale = law.scale_hint()
-    lo, hi = math.log(scale / BRACKET_SPAN), math.log(scale * BRACKET_SPAN)
-    step = math.log(8.0)
-    # g decreases in P, so widen downward while g(lo) < h and upward
-    # while g(hi) > h
-    for _ in range(60):
-        if excess(lo) > 0:
-            break
-        hi = lo
-        lo -= step
-    for _ in range(60):
-        if excess(hi) < 0:
-            break
-        lo = hi
-        hi += step
-    if not (excess(lo) > 0 > excess(hi)):
-        raise ArithmeticError(
-            f"could not bracket the alpha-power root (alpha={alpha}, law={law})"
-        )
-    t = _brentq(excess, lo, hi, ROOT_RTOL)
-    return AlphaPowerResult(math.exp(t), alpha, "numeric_root", abs(excess(t)))
+    # g decreases in t = ln P: the root lies above t while g > h_ref
+    t, lo, hi = math.log(law.scale_hint()), -math.inf, math.inf
+    for _ in range(MAX_STEPS):
+        P = math.exp(t)
+        value, slope = g(P)
+        excess = value - h_ref
+        if math.isnan(excess) or math.isnan(slope):
+            raise ArithmeticError(f"g(P) is NaN at P = {P} ({alpha=}, {law=})")
+        if excess > 0:
+            lo = t
+        elif excess < 0:
+            hi = t
+        # where the slope is not negative, the sign of the excess gives the way
+        step = -excess / slope if slope < 0 else math.copysign(math.inf, excess)
+        if math.isinf(hi - lo):
+            step = max(-math.log(8.0), min(math.log(8.0), step))
+        elif not lo <= t + step <= hi:
+            step = (lo + hi) / 2.0 - t
+        if excess == 0 or abs(step) < ROOT_TOL:
+            return AlphaPowerResult(P, alpha, "numeric_root", abs(excess))
+        t += step
+    raise ArithmeticError(f"alpha-power root did not converge in {MAX_STEPS} steps ({alpha=})")

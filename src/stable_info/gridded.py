@@ -66,13 +66,44 @@ class TailLaw:
         if not self.coefficient > 0:
             raise ValueError("tail coefficient must be positive")
 
-    def pdf(self, x):
-        # one log per point; each term is exp(-(1 + e_k) ln|x|)
-        lx = np.log(np.abs(x))
-        out = self.coefficient * np.exp(-(1.0 + self.exponent) * lx)
-        for ek, ck in self.extra:
-            out = out + ck * np.exp(-(1.0 + ek) * lx)
-        return out
+    @cached_property
+    def _horner(self) -> np.ndarray | None:
+        """Rows (a_k, (1 + k e) a_k), k = 0 .. K, when every exponent is a
+        whole multiple k e of the leading one e (a stable tail), else None."""
+        e = self.exponent
+        terms = ((e, self.coefficient),) + self.extra
+        k = [round(ek / e) for ek, _ in terms]
+        if any(abs(ek / e - kk) > 1e-9 for (ek, _), kk in zip(terms, k)):
+            return None
+        rows = np.zeros((2, max(k) + 1))
+        for kk, (_, ck) in zip(k, terms):
+            rows[:, kk] += ck, (1.0 + kk * e) * ck
+        return rows
+
+    def pdf(self, x, slope=False):
+        """p(x) = sum_k c_k |x|^(-1-e_k), and with slope the pair (p, dp/dx).
+
+        With t = |x|, p = A/t and dp/dx = -B/(x t) for A = sum_k c_k t^-e_k
+        and B = sum_k (1 + e_k) c_k t^-e_k.  For a stable tail, A and B
+        are polynomials in v = t^-e, which Horner's rule gives from one
+        power; any other series takes one exp per term."""
+        t = np.abs(x)
+        a, b = np.zeros_like(t), np.zeros_like(t)
+        if self._horner is None:
+            lx = np.log(t)
+            for ek, ck in ((self.exponent, self.coefficient),) + self.extra:
+                term = ck * np.exp(-ek * lx)
+                a, b = a + term, b + (1.0 + ek) * term
+        else:
+            v = t ** -self.exponent
+            for ak, bk in self._horner[:, :0:-1].T:
+                a += ak
+                a *= v
+                if slope:
+                    b += bk
+                    b *= v
+        p = a / t
+        return (p, -b / (x * t)) if slope else p
 
     def mass_beyond(self, r: float) -> float:
         """Two-sided tail mass outside [-r, r]."""
@@ -193,7 +224,7 @@ class GriddedDensity:
             self.x0, self.h, self.values * (target / self.core_mass()), self.tail
         )
 
-    def logpdf(self, xq) -> np.ndarray:
+    def logpdf(self, xq, slope=False):
         """Log-density: cubic interpolation inside the accurate region,
         tail formula at the distance from the center outside
         (floor-clamped when no tail law).
@@ -204,7 +235,12 @@ class GriddedDensity:
         space.  It is scipy's not-a-knot CubicSpline, built here by
         _not_a_knot; the knots are uniform, so it is evaluated by direct
         indexing, interval k = (x - x_lo) // h, summed in PPoly's order
-        c3 + c2 s + c1 s^2 + c0 s^3."""
+        c3 + c2 s + c1 s^2 + c0 s^3.
+
+        With slope=True it returns the pair (ln p, d ln p/dx), and xq
+        must be sorted ascending from the center on, as the folded
+        nodes of a quadrature rule are: then one searchsorted splits
+        the spline region from the tail."""
         if self._spline is None:
             thresh = float(np.max(self.values)) * 1e-14
             i = int(np.argmax(self.values))
@@ -224,22 +260,34 @@ class GriddedDensity:
         knots, c = self._spline
         d = xq - self.center
         r = min(self.accurate_radius, knots[-1] - self.center)
-        r_lo = max(-r, knots[0] - self.center)
-        inside = (d >= r_lo) & (d <= r)
+        if slope:
+            inside = slice(0, int(np.searchsorted(d, r, side="right")))
+            outside = slice(inside.stop, None)
+        else:
+            inside = (d >= max(-r, knots[0] - self.center)) & (d <= r)
+            outside = ~inside
         xi = xq[inside]
         k = np.minimum(((xi - knots[0]) / self.h).astype(np.intp), knots.size - 2)
         s = xi - knots.take(k)
-        out[inside] = (
-            c[3].take(k) + c[2].take(k) * s + c[1].take(k) * (s * s)
-            + c[0].take(k) * (s * s * s)
-        )
-        if self.tail is not None:
-            t = np.abs(d[~inside])
-            out[~inside] = np.log(np.clip(self.tail.pdf(t), _FLOOR, None))
+        c0, c1, c2 = c[0].take(k), c[1].take(k), c[2].take(k)
+        s2 = s * s
+        out[inside] = c[3].take(k) + c2 * s + c1 * s2 + c0 * (s2 * s)
+        tail_slope = 0.0
+        if self.tail is None:
+            out[outside] = np.log(_FLOOR)
         else:
-            out[~inside] = np.log(_FLOOR)
-        np.nan_to_num(out, copy=False, nan=np.log(_FLOOR))
-        return out[0] if scalar else out
+            p = self.tail.pdf(d[outside], slope)
+            if slope:
+                p, tail_slope = p[0], p[1] / p[0]
+            out[outside] = np.log(np.maximum(p, _FLOOR))
+        # NaN input gets the floor (fmax drops a NaN operand)
+        np.fmax(out, np.log(_FLOOR), out=out)
+        if not slope:
+            return out[0] if scalar else out
+        dout = np.empty_like(xq)
+        dout[inside] = (3.0 * c0 * s + 2.0 * c1) * s + c2
+        dout[outside] = tail_slope
+        return out, dout
 
     def pdf(self, xq) -> np.ndarray:
         return np.exp(self.logpdf(xq))

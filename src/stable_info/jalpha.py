@@ -77,8 +77,8 @@ def _parseval_weights(f: GriddedDensity) -> tuple[np.ndarray, np.ndarray, float]
         ell[core.start] *= 0.5
         ell[core.stop - 1] *= 0.5
         lhat = np.fft.rfft(np.fft.ifftshift(ell))
-        # formed from the real and imaginary parts, so q is contiguous:
-        # a strided view makes the dot product in jalpha_spectral ~100x slower
+        # formed from the real and imaginary parts, so q is contiguous for
+        # the weighted sum in jalpha_spectral
         q = (lhat.real * phi.real + lhat.imag * phi.imag) / n
         q[1:(n + 1) // 2] *= 2.0
         rule = f.tail_rule()
@@ -98,7 +98,7 @@ def jalpha_spectral(f: GriddedDensity, alpha: float) -> JAlphaEstimate:
     over the core for any law, symmetric or not.  q, |phi| and the
     tail mass do not depend on alpha and are kept on f, so each further
     alpha on the same density costs one power, the decay guard and one
-    dot product, with no FFT.  The truncated tail contribution is small
+    weighted sum, with no FFT.  The truncated tail contribution is small
     when the grid extent is generous.
     """
     if not 0 < alpha <= 2:
@@ -116,7 +116,9 @@ def jalpha_spectral(f: GriddedDensity, alpha: float) -> JAlphaEstimate:
             "the law is too rough for the spectral route -- smooth it first "
             "or use the finite-difference evaluator"
         )
-    val = float(np.dot(w_alpha, q))
+    # numpy's pairwise sum, not BLAS: the digits do not depend on the
+    # thread count
+    val = float(np.add.reduce(w_alpha * q))
     if val < -1e-4:
         raise ArithmeticError(
             f"spectral alpha-Fisher information came out negative ({val:.3e})"

@@ -227,16 +227,20 @@ def sas_density(alpha: float, gamma: float) -> GriddedDensity:
     return realize(SaS(alpha, gamma))
 
 
-def logpdf_sas(alpha: float, gamma: float, x):
+def logpdf_sas(alpha: float, gamma: float, x, slope=False):
     """Log-density at arbitrary points: cubic interpolation on the
-    cached grid inside its accurate region, tail series outside."""
+    cached grid inside its accurate region, tail series outside.  With
+    slope=True, at points sorted ascending from 0 on, the pair
+    (ln p, d ln p/dx) (GriddedDensity.logpdf)."""
     if alpha == 2:
         # N(0, 2 gamma^2)
         var = 2.0 * gamma**2
         xa = np.asarray(x, dtype=float)
         out = -0.5 * np.log(2.0 * math.pi * var) - xa**2 / (2.0 * var)
+        if slope:
+            return out, -xa / var
         return float(out) if out.ndim == 0 else out
-    return sas_density(alpha, gamma).logpdf(x)
+    return sas_density(alpha, gamma).logpdf(x, slope)
 
 
 def sample_sas(alpha: float, gamma: float, n, seed) -> np.ndarray:

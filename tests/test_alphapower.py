@@ -1,7 +1,4 @@
-import functools
-import inspect
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -10,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from stable_info import alphapower, cli, stable
-from stable_info.alphapower import _brentq, _g_rule, alpha_power, g_of_P
+from stable_info.alphapower import _g_rule, alpha_power, g_of_P
 from stable_info.cli import DEFAULT_POWER_ALPHAS, DEFAULT_POWER_LAWS
 from stable_info.density import (
     Cauchy,
@@ -125,96 +122,103 @@ class TestNumericRoot:
             alpha_power(Gaussian(1.0), 2.3)
 
 
-def recorded(f):
-    """f, and the list of points it is called at."""
+def counted_logpdf(monkeypatch) -> list:
+    """Patch stable.logpdf_sas to count its calls: one per g(P)."""
     calls = []
+    logpdf = stable.logpdf_sas
 
-    def g(x):
-        calls.append(x)
-        return f(x)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return logpdf(*args, **kwargs)
 
-    return g, calls
-
-
-def lines_run(fn, call) -> set:
-    """Line numbers of fn's own body executed while call() runs."""
-    lines = set()
-
-    def tracer(frame, event, arg):
-        if frame.f_code is not fn.__code__:
-            return None
-        if event == "line":
-            lines.add(frame.f_lineno)
-        return tracer
-
-    sys.settrace(tracer)
-    try:
-        call()
-    finally:
-        sys.settrace(None)
-    return lines
+    monkeypatch.setattr(stable, "logpdf_sas", counted)
+    return calls
 
 
-class TestBrentPort:
-    """_brentq retraces scipy.optimize.brentq call for call."""
+POWER_TABLE = [(a, law) for a in DEFAULT_POWER_ALPHAS for law in DEFAULT_POWER_LAWS]
+SAMPLED = Empirical(tuple(sample_sas(1.5, 1.0, 20_000, seed=1)))
 
-    CASES = {
-        "cubic": (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
-        "exp": (lambda x: math.exp(x) - 10, -5.0, 10.0),
-        "cos": (lambda x: math.cos(x) - x, 0.0, 1.0),
-        "atan": (lambda x: math.atan(x - 0.3), -20.0, 50.0),
-        "root-at-end": (lambda x: x, -1.0, 0.0),
-    }
 
-    @staticmethod
-    def same_as_scipy(f, a, b, xtol):
-        ours, our_calls = recorded(f)
-        theirs, their_calls = recorded(f)
-        root = _brentq(ours, a, b, xtol)
-        assert root == brentq(theirs, a, b, xtol=xtol)
-        assert our_calls == their_calls
-        return root
+def brentq_root(law, alpha, t0) -> float:
+    """ln P of the root of the same rule by scipy's brentq, from a bracket
+    of +-1 about t0."""
+    g, h = _g_rule(law, alpha), reference_entropy(alpha)
+    return brentq(lambda t: g(math.exp(t))[0] - h, t0 - 1.0, t0 + 1.0, xtol=1e-14)
 
-    @pytest.mark.parametrize("case", CASES)
-    def test_same_calls_and_root_as_scipy(self, case):
-        self.same_as_scipy(*self.CASES[case], 1e-9)
 
-    def test_extrapolation_branch_fires(self):
-        src, first = inspect.getsourcelines(_brentq)
-        line = first + next(i for i, s in enumerate(src) if "dpre = (fpre" in s)
-        f, a, b = self.CASES["cubic"]
-        assert line in lines_run(_brentq, lambda: _brentq(f, a, b, 1e-9))
+class TestNewtonRoot:
+    """The safeguarded Newton iteration in t = ln P against scipy's
+    brentq on the same quadrature rule."""
 
-    def test_alpha_power_root_unchanged(self, monkeypatch):
-        roots = []
+    @pytest.mark.parametrize(
+        "alpha,law", POWER_TABLE + [(1.2, SAMPLED), (1.5, SAMPLED)], ids=str
+    )
+    def test_root_matches_brentq(self, alpha, law):
+        r = alpha_power(law, alpha)
+        if r.method == "closed_form_stable":
+            return
+        t = math.log(r.value)
+        assert abs(t - brentq_root(law, alpha, t)) <= 1e-12
 
-        def both(f, a, b, xtol):
-            roots.append(self.same_as_scipy(f, a, b, xtol))
-            return roots[-1]
+    def test_power_table_has_39_numeric_roots(self):
+        methods = [alpha_power(law, a).method for a, law in POWER_TABLE]
+        assert methods.count("numeric_root") == 39
 
-        monkeypatch.setattr(alphapower, "_brentq", both)
-        alpha_power(Laplace(1.0), 1.5)
-        alpha_power(Uniform(1.0), 0.6)
-        assert len(roots) == 2
+    @pytest.mark.parametrize(
+        "law", [Laplace(1.0), Cauchy(1.0), Sum(Laplace(1.0), SaS(1.2, 0.5)), SAMPLED], ids=str
+    )
+    @pytest.mark.parametrize("alpha", [0.4, 1.2, 1.8, 2.0])
+    def test_slope_is_the_derivative_in_ln_p(self, law, alpha):
+        g = _g_rule(law, alpha)
+        e = 1e-4
+        for P in (0.05, 1.0, 20.0):
+            central = (g(P * math.exp(e))[0] - g(P * math.exp(-e))[0]) / (2.0 * e)
+            assert g(P)[1] == pytest.approx(central, rel=1e-6)
 
-    def test_sign_error(self):
-        with pytest.raises(ValueError, match="different signs"):
-            _brentq(lambda x: x * x + 1, -1.0, 1.0, 1e-9)
+    @pytest.mark.parametrize("s", [1e-6, 1e6])
+    def test_far_start_finds_the_same_root(self, monkeypatch, s):
+        # g(P / s) has its root s times farther out than the start at the
+        # scale hint; from s = 1e-6 the start is where g is nearly flat,
+        # so the first steps are capped, and bisected once bracketed
+        want = alpha_power(Laplace(1.0), 1.5).value
+        rule = _g_rule(Laplace(1.0), 1.5)
+        monkeypatch.setattr(alphapower, "_g_rule", lambda law, alpha: lambda P: rule(P / s))
+        calls = counted_logpdf(monkeypatch)
+        got = alpha_power(Laplace(1.0), 1.5).value / s
+        assert got == pytest.approx(want, rel=1e-11)
+        # 7 capped steps cover ln 1e6; then 5 or 6 more
+        assert len(calls) <= 16
 
-    def test_no_convergence_is_arithmetic_error(self):
-        f, a, b = self.CASES["cubic"]
-        with pytest.raises(ArithmeticError, match="did not converge in 2 iterations"):
-            _brentq(f, a, b, 1e-9, maxiter=2)
+    def test_overshoot_is_bisected(self, monkeypatch):
+        # excess -atan(10 (t - t_root)), started 0.2 above the root: the
+        # capped first step brackets the root, and the Newton step from
+        # there lands beyond the bracket; unguarded it diverges
+        h = reference_entropy(1.5)
+        t_root = math.log(Laplace(1.0).scale_hint()) - 0.2
+
+        def rule(P):
+            x = 10.0 * (math.log(P) - t_root)
+            return h - math.atan(x), -10.0 / (1.0 + x * x)
+
+        monkeypatch.setattr(alphapower, "_g_rule", lambda law, alpha: rule)
+        assert math.log(alpha_power(Laplace(1.0), 1.5).value) == pytest.approx(t_root, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", ["value", "slope"])
+    def test_nan_is_arithmetic_error(self, monkeypatch, bad):
+        out = (math.nan, -1.0) if bad == "value" else (1.0, math.nan)
+        monkeypatch.setattr(alphapower, "_g_rule", lambda law, alpha: lambda P: out)
+        with pytest.raises(ArithmeticError, match="NaN"):
+            alpha_power(Laplace(1.0), 1.5)
+
+    def test_no_convergence_is_arithmetic_error(self, monkeypatch):
+        monkeypatch.setattr(alphapower, "MAX_STEPS", 2)
+        with pytest.raises(ArithmeticError, match="did not converge in 2 steps"):
+            alpha_power(Laplace(1.0), 1.5)
 
     def test_cli_exits_3_when_the_root_does_not_converge(self, monkeypatch, capsys):
-        monkeypatch.setattr(alphapower, "_brentq", functools.partial(_brentq, maxiter=2))
+        monkeypatch.setattr(alphapower, "MAX_STEPS", 2)
         assert cli.main(["power-table", "--alphas", "1.5", "--laws", "laplace:1"]) == 3
         assert "did not converge" in capsys.readouterr().out
-
-    def test_nan_is_arithmetic_error(self):
-        with pytest.raises(ArithmeticError, match="NaN"):
-            values = iter([-1.0, 1.0, math.nan])
-            _brentq(lambda x: next(values), 0.0, 1.0, 1e-9)
 
 
 class TestGOfP:
@@ -314,19 +318,19 @@ class TestFoldedRule:
         assert r.residual == abs(g_of_P(law, alpha, r.value) - reference_entropy(alpha))
 
     def test_power_table_g_evaluations(self, monkeypatch):
-        calls = []
-        logpdf = stable.logpdf_sas
+        calls = counted_logpdf(monkeypatch)
+        for alpha, law in POWER_TABLE:
+            alpha_power(law, alpha)
+        assert len(POWER_TABLE) == 40
+        # 222 calls; brentq from a widened bracket took 390
+        assert len(calls) <= 260
 
-        def counted(*args):
-            calls.append(1)
-            return logpdf(*args)
-
-        monkeypatch.setattr(stable, "logpdf_sas", counted)
+    def test_sampled_g_evaluations(self, monkeypatch):
+        calls = counted_logpdf(monkeypatch)
         for alpha in DEFAULT_POWER_ALPHAS:
-            for law in DEFAULT_POWER_LAWS:
-                alpha_power(law, alpha)
-        assert len(DEFAULT_POWER_ALPHAS) * len(DEFAULT_POWER_LAWS) == 40
-        assert len(calls) <= 520
+            alpha_power(SAMPLED, alpha)
+        # 44 calls; brentq from a widened bracket took 86
+        assert len(calls) <= 52
 
 
 class TestNodeRule:
@@ -355,9 +359,9 @@ class TestNodeRule:
         gam_ref = stable.reference_gamma(alpha)
         scale = law.scale_hint()
         for P in (scale / 50.0, scale, 50.0 * scale):
-            full = -float(w @ stable.logpdf_sas(alpha, gam_ref, y / P))
+            full = -float(np.add.reduce(w * stable.logpdf_sas(alpha, gam_ref, y / P)))
             full += rule.c0 - rule.c1 * math.log(P)
-            assert rule(P) == pytest.approx(full, rel=1e-15, abs=0)
+            assert rule(P)[0] == pytest.approx(full, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize(
         "law,nodes", [(Laplace(1.0), 8355), (Gaussian(1.0), 1651), (Cauchy(1.0), 29492)]

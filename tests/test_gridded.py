@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from stable_info.density import SaS, Uniform, realize
+from stable_info.density import Laplace, SaS, Sum, Uniform, realize
 from stable_info.gridded import (
     GriddedDensity,
     GridSpec,
@@ -54,12 +54,16 @@ class TestTailLaw:
         mass, _ = quad(lambda u: t.pdf(u), 7.0, np.inf)
         assert t.mass_beyond(7.0) == pytest.approx(2.0 * mass, rel=1e-9)
 
-    @pytest.mark.parametrize(
-        "tail",
-        [tail_law(sas_series(a, 1.0)) for a in (0.4, 1.2, 1.8)]
-        + [TailLaw(exponent=1.0, coefficient=0.5, extra=((2.0, -0.1),))],
-        ids=["stable-0.4", "stable-1.2", "stable-1.8", "extra"],
-    )
+    # stable tails and "extra" are polynomials in |x|^-e, evaluated by
+    # Horner's rule; the tail of a sum of laws with different exponents
+    # is not, and takes one exp per term
+    TAILS = [tail_law(sas_series(a, 1.0)) for a in (0.4, 1.2, 1.8)] + [
+        TailLaw(exponent=1.0, coefficient=0.5, extra=((2.0, -0.1),)),
+        tail_law(Sum(Laplace(1.0), SaS(1.2, 0.5)).series()),
+    ]
+    TAIL_IDS = ["stable-0.4", "stable-1.2", "stable-1.8", "extra", "sum"]
+
+    @pytest.mark.parametrize("tail", TAILS, ids=TAIL_IDS)
     def test_pdf_matches_power_form(self, tail):
         xs = np.geomspace(10.0, 1e8, 500)
         x = np.concatenate([-xs, xs])
@@ -67,6 +71,16 @@ class TestTailLaw:
         for ek, ck in tail.extra:
             direct = direct + ck * np.abs(x) ** (-(1.0 + ek))
         np.testing.assert_allclose(tail.pdf(x), direct, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("tail", TAILS, ids=TAIL_IDS)
+    def test_slope_is_the_derivative(self, tail):
+        assert (tail._horner is None) == (tail is self.TAILS[-1])
+        xs = np.geomspace(10.0, 1e8, 50)
+        x = np.concatenate([-xs, xs])
+        p, dp = tail.pdf(x, slope=True)
+        assert np.array_equal(p, tail.pdf(x))
+        central = (tail.pdf(x * (1 + 1e-6)) - tail.pdf(x * (1 - 1e-6))) / (2e-6 * x)
+        np.testing.assert_allclose(dp, central, rtol=1e-7, atol=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -169,6 +183,22 @@ class TestGriddedDensity:
             expect = np.log(np.clip(f.tail.pdf(np.abs(out)), 1e-300, None))
         assert np.array_equal(f.logpdf(out), expect)
         assert f.logpdf(np.nan) == np.log(1e-300)
+
+    @pytest.mark.parametrize(
+        "make", [gaussian_grid, lambda: realize(SaS(1.2, 1.0))], ids=["gaussian", "sas"]
+    )
+    def test_logpdf_slope_on_sorted_nodes(self, make):
+        # nodes from the center out across the spline region into the
+        # tail (or the floor), as a folded quadrature rule passes them
+        f = make()
+        x = f.center + np.linspace(0.0, 1.5 * f.half_extent, 3001)
+        lp, dlp = f.logpdf(x, slope=True)
+        assert np.array_equal(lp, f.logpdf(x))
+        e = 1e-6 * f.half_extent
+        central = (f.logpdf(x + e) - f.logpdf(x - e)) / (2.0 * e)
+        # the handoff from spline to tail is not smooth
+        smooth = np.abs(x - f.center - min(f.accurate_radius, f._spline.x[-1])) > 2.0 * e
+        np.testing.assert_allclose(dlp[smooth], central[smooth], rtol=1e-5, atol=1e-8)
 
     def test_logpdf_beyond_grid_without_tail_is_floored(self):
         f = gaussian_grid()
