@@ -179,7 +179,7 @@ class TestNewtonRoot:
     def test_far_start_finds_the_same_root(self, monkeypatch, s):
         # g(P / s) has its root s times farther out than the start at the
         # scale hint; from s = 1e-6 the start is where g is nearly flat,
-        # so the first steps are capped, and bisected once bracketed
+        # so the Newton steps are huge until the ln 8 cap stops them
         want = alpha_power(Laplace(1.0), 1.5).value
         rule = _g_rule(Laplace(1.0), 1.5)
         monkeypatch.setattr(alphapower, "_g_rule", lambda law, alpha: lambda P: rule(P / s))
