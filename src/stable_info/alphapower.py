@@ -86,7 +86,7 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
     lose most of their nodes (Laplace(1) keeps 8,355 of 32,768),
     heavy tails keep all of theirs."""
     if isinstance(law, Empirical):
-        s = law.as_array()
+        s = law.samples
         return _GRule(alpha, np.sort(np.abs(s)), np.full(s.size, 1.0 / s.size))
     f = dens.realize(law)
     w = f.values[f.core] * f.h
@@ -151,7 +151,7 @@ def _hill_exponent(s: np.ndarray) -> float:
 
 
 def _is_point_mass_at_zero(law: RandomLaw) -> bool:
-    return isinstance(law, Empirical) and not np.any(law.as_array())
+    return isinstance(law, Empirical) and not np.any(law.samples)
 
 
 def alpha_power(law: RandomLaw, alpha: float) -> AlphaPowerResult:
@@ -166,7 +166,7 @@ def alpha_power(law: RandomLaw, alpha: float) -> AlphaPowerResult:
         return AlphaPowerResult(0.0, alpha, "closed_form_alpha2")
 
     if alpha == 2:
-        if isinstance(law, Empirical) and _hill_exponent(law.as_array()) < 2:
+        if isinstance(law, Empirical) and _hill_exponent(law.samples) < 2:
             return AlphaPowerResult(math.inf, alpha, "closed_form_alpha2", math.nan)
         m2 = law.second_moment()
         if not math.isfinite(m2):

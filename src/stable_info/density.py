@@ -313,34 +313,37 @@ class Sum(RandomLaw):
         return convolve(self, grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Empirical(RandomLaw):
     """A sample set, which alpha_power reads directly: it has no density."""
 
-    samples: tuple
+    samples: np.ndarray
 
     def __post_init__(self):
-        if len(self.samples) == 0:
-            raise ValueError("empirical law needs at least one sample")
-        object.__setattr__(
-            self, "samples", tuple(np.asarray(self.samples, dtype=float).tolist())
-        )
+        s = np.array(self.samples, dtype=float)
+        if s.ndim != 1 or s.size == 0 or not np.all(np.isfinite(s)):
+            raise ValueError("empirical law needs a nonempty 1-D set of finite samples")
+        s.flags.writeable = False
+        object.__setattr__(self, "samples", s)
 
-    def as_array(self):
-        return np.asarray(self.samples, dtype=float)
+    def __eq__(self, other):
+        return type(other) is type(self) and np.array_equal(self.samples, other.samples)
+
+    def __hash__(self):
+        return hash(self.samples.tobytes())
 
     def scale_hint(self):
-        s = self.as_array()
+        s = self.samples
         iqr = float(np.subtract(*np.percentile(s, [75, 25])))
         if iqr > 0:
             return iqr / 2.0
         return max(float(np.std(s)), 1e-12)
 
     def mean(self):
-        return float(np.mean(self.as_array()))
+        return float(np.mean(self.samples))
 
     def second_moment(self):
-        return float(np.mean(self.as_array() ** 2))
+        return float(np.mean(self.samples ** 2))
 
 
 def _spectral_reach(law: RandomLaw) -> float:

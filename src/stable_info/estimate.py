@@ -48,9 +48,9 @@ def crb_stable(alpha: float, gamma_N: float, d: int = 1) -> float:
 
 # grid points laid over each gap between sorted samples
 _GAP_POINTS = 32
-# rows x grid points refined at once: bounds the temporaries whatever
-# the number of trials
-_BLOCK_POINTS = 1 << 17
+# rows x grid points scanned at once: keeps the scan's temporaries
+# cache-sized whatever the number of trials
+_BLOCK_POINTS = 1 << 15
 _MAX_ITER = 60
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -60,31 +60,15 @@ def _refine_minimum(x: np.ndarray, pad: float, loss, dloss=None) -> np.ndarray:
 
     A grid of _GAP_POINTS per gap between each row's sorted samples,
     padded by `pad` at both ends, spans the whole sample hull; its
-    argmin is bracketed by the nearest distinct grid values (duplicate
-    samples leave zero-width gaps) and refined for all rows together:
-    by bisection on the sign of the slope, sum_i dloss(x_i - theta),
-    when dloss is given, else by golden section.  Rows are independent
-    and are refined in blocks of at most _BLOCK_POINTS grid points."""
+    argmin, found in blocks of at most _BLOCK_POINTS grid points, is
+    bracketed by the nearest distinct grid values (duplicate samples
+    leave zero-width gaps).  All rows are then refined together, with
+    temporaries the size of x: by bisection on the sign of the slope,
+    sum_i dloss(x_i - theta), when dloss is given, else by golden
+    section.  Rows are independent, so the blocks change no estimate."""
     step = max(1, _BLOCK_POINTS // ((x.shape[1] + 1) * _GAP_POINTS + 1))
-    return np.concatenate(
-        [_refine_block(x[i : i + step], pad, loss, dloss) for i in range(0, len(x), step)]
-    )
-
-
-def _refine_block(x: np.ndarray, pad: float, loss, dloss) -> np.ndarray:
-    s = np.sort(x, axis=1)
-    B, n = s.shape
-    knots = np.concatenate([s[:, :1] - pad, s, s[:, -1:] + pad], axis=1)
-    t = np.arange(_GAP_POINTS) / _GAP_POINTS
-    grid = (knots[:, :-1, None] + np.diff(knots, axis=1)[:, :, None] * t).reshape(B, -1)
-    grid = np.concatenate([grid, knots[:, -1:]], axis=1)
-    # one sample column at a time, so temporaries stay (rows, grid)
-    vals = loss(x[:, :1] - grid)
-    for i in range(1, n):
-        vals += loss(x[:, i : i + 1] - grid)
-    best = grid[np.arange(B), np.argmin(vals, axis=1)][:, None]
-    a = np.max(np.where(grid < best, grid, grid[:, :1]), axis=1)
-    b = np.min(np.where(grid > best, grid, grid[:, -1:]), axis=1)
+    blocks = [_bracket(x[i : i + step], pad, loss) for i in range(0, len(x), step)]
+    a, b = np.concatenate(blocks, axis=1)
 
     def at(fn, r, theta):
         return fn(x[r] - theta[:, None]).sum(axis=1)
@@ -105,7 +89,7 @@ def _refine_block(x: np.ndarray, pad: float, loss, dloss) -> np.ndarray:
 
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    rows = np.arange(B)
+    rows = np.arange(len(x))
     fc, fd = at(loss, rows, c), at(loss, rows, d)
     for _ in range(_MAX_ITER):
         r = unconverged()
@@ -122,6 +106,24 @@ def _refine_block(x: np.ndarray, pad: float, loss, dloss) -> np.ndarray:
         c[r], d[r] = np.where(left, new, kept), np.where(left, kept, new)
         fc[r], fd[r] = np.where(left, fnew, fkept), np.where(left, fkept, fnew)
     return (a + b) / 2.0
+
+
+def _bracket(x: np.ndarray, pad: float, loss) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the grid neighbours (a, b) of the grid argmin."""
+    s = np.sort(x, axis=1)
+    B, n = s.shape
+    knots = np.concatenate([s[:, :1] - pad, s, s[:, -1:] + pad], axis=1)
+    t = np.arange(_GAP_POINTS) / _GAP_POINTS
+    grid = (knots[:, :-1, None] + np.diff(knots, axis=1)[:, :, None] * t).reshape(B, -1)
+    grid = np.concatenate([grid, knots[:, -1:]], axis=1)
+    # one sample column at a time, so temporaries stay (rows, grid)
+    vals = loss(x[:, :1] - grid)
+    for i in range(1, n):
+        vals += loss(x[:, i : i + 1] - grid)
+    best = grid[np.arange(B), np.argmin(vals, axis=1)][:, None]
+    a = np.max(np.where(grid < best, grid, grid[:, :1]), axis=1)
+    b = np.min(np.where(grid > best, grid, grid[:, -1:]), axis=1)
+    return a, b
 
 
 def _sample_rows(samples) -> tuple[np.ndarray, bool]:
@@ -215,7 +217,7 @@ def run_estimator(run: EstimatorRun) -> EstimatorRun:
     )
     errors = _estimate(run, x) - run.theta_true
     run.errors = errors
-    run.error_alpha_power = alpha_power(Empirical(tuple(errors)), alpha).value
+    run.error_alpha_power = alpha_power(Empirical(errors), alpha).value
     run.crb = crb_stable(alpha, gamma) if run.samples_per_trial == 1 else None
     run.diagnostics["trials"] = run.trials
     return run

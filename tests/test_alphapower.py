@@ -371,6 +371,23 @@ class TestNodeRule:
 
 
 class TestEmpiricalRoute:
+    @pytest.mark.parametrize(
+        "alpha, value",
+        [(1.2, 0.9446896729242031), (1.5, 1.3150397971342271), (2.0, math.inf)],
+    )
+    def test_sampled_power_pinned(self, alpha, value):
+        # recorded before samples were held as an array: the route is bit for bit
+        assert alpha_power(SAMPLED, alpha).value == value
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_nan_sample_refused(self, alpha):
+        # not an inf at alpha 2, nor a NaN root whose message reprs every sample
+        s = sample_sas(1.5, 1.0, 2000, seed=11)
+        s[7] = math.nan
+        with pytest.raises(ValueError, match="finite") as err:
+            alpha_power(Empirical(s), alpha)
+        assert len(str(err.value)) < 100
+
     def test_sampled_stable_recovers_power(self):
         alpha = 1.6
         s = sample_sas(alpha, 1.0, 100_000, seed=9)

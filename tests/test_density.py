@@ -218,6 +218,36 @@ class TestEmpirical:
         with pytest.raises(NotImplementedError):
             realize(Sum(Empirical((0.0, 1.0, 2.5)), Gaussian(1.0)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_refused(self, bad):
+        with pytest.raises(ValueError):
+            Empirical((0.0, bad, 2.5))
+
+    @pytest.mark.parametrize("bad", [1.0, np.zeros((2, 3))], ids=["scalar", "2d"])
+    def test_not_1d_refused(self, bad):
+        with pytest.raises(ValueError):
+            Empirical(bad)
+
+    def test_equal_by_content(self):
+        a, b = Empirical((0.0, 1.0, 2.5)), Empirical((0.0, 1.0, 2.5))
+        assert a == b and hash(a) == hash(b)
+        assert a != Empirical((0.0, 1.0, 2.0))
+        assert a != Empirical((0.0, 1.0))
+        assert a != Gaussian(1.0)
+
+    def test_input_kinds_give_one_law(self):
+        laws = {Empirical(s) for s in ([0.0, 1, 2.5], (0, 1.0, 2.5), np.array([0.0, 1.0, 2.5]))}
+        assert len(laws) == 1
+
+    def test_samples_are_a_read_only_copy(self):
+        s = np.array([0.0, 1.0, 2.5])
+        law = Empirical(s)
+        assert law.samples.dtype == np.float64
+        assert not law.samples.flags.writeable
+        s[0] = 9.0
+        np.testing.assert_array_equal(law.samples, [0.0, 1.0, 2.5])
+        assert law == Empirical((0.0, 1.0, 2.5))
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stable_info import estimate
 from stable_info.estimate import (
     EstimatorRun,
     ml_location_estimate,
@@ -84,3 +85,20 @@ def test_rejects_bad_sample_arrays():
             myriad_estimate(bad, 1.0)
         with pytest.raises(ValueError):
             ml_location_estimate(bad, 1.5, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.8])
+def test_block_size_leaves_estimates_bit_for_bit(monkeypatch, alpha):
+    x = sample_sas(alpha, 1.0, (200, 10), seed=26)
+    myriad, ml = myriad_estimate(x, 1.0), ml_location_estimate(x, alpha, 1.0)
+    # one row per scan block
+    monkeypatch.setattr(estimate, "_BLOCK_POINTS", 1)
+    np.testing.assert_array_equal(myriad_estimate(x, 1.0), myriad)
+    np.testing.assert_array_equal(ml_location_estimate(x, alpha, 1.0), ml)
+
+
+def test_run_errors_stay_writeable():
+    noise = StableParams.symmetric(1.5, 1.0)
+    run = run_estimator(EstimatorRun("sample_median", 0.0, noise, 20, 3, seed=27))
+    assert run.errors.flags.writeable
+    run.errors[0] = 0.0
