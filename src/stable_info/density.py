@@ -332,12 +332,17 @@ class Empirical(RandomLaw):
     def __hash__(self):
         return hash(self.samples.tobytes())
 
+    def __repr__(self):
+        # one line of bounded length, however many samples
+        n = self.samples.size
+        head = ", ".join(map(repr, self.samples[:3].tolist())) + ", ..." * (n > 3)
+        return f"Empirical(samples=({head}), n={n})"
+
     def scale_hint(self):
-        s = self.samples
-        iqr = float(np.subtract(*np.percentile(s, [75, 25])))
+        iqr = float(np.subtract(*np.percentile(self.samples, [75, 25])))
         if iqr > 0:
             return iqr / 2.0
-        return max(float(np.std(s)), 1e-12)
+        return max(float(np.std(self.samples)), 1e-12)
 
     def mean(self):
         return float(np.mean(self.samples))

@@ -248,6 +248,10 @@ class TestEmpirical:
         np.testing.assert_array_equal(law.samples, [0.0, 1.0, 2.5])
         assert law == Empirical((0.0, 1.0, 2.5))
 
+    def test_repr_is_one_short_line(self):
+        r = repr(Empirical(np.linspace(-1.0, 1.0, 20_000)))
+        assert r == "Empirical(samples=(-1.0, -0.99989999499975, -0.9997999899994999, ...), n=20000)"
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
