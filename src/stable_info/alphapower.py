@@ -49,8 +49,8 @@ class AlphaPowerResult:
 @dataclass(frozen=True)
 class _GRule:
     """g(P) = -sum_i w_i ln p_ref(y_i / P) + c0 - c1 ln P for one (law,
-    alpha), over nodes y sorted ascending from 0, so each evaluation is
-    one reference log-density call.
+    alpha), over nodes y >= 0, so each evaluation is one reference
+    log-density call.
 
     c0 - c1 ln P is the analytic correction for the mass beyond the grid
     (the reference log-density is asymptotically -ln c1_ref +
@@ -78,7 +78,8 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
     p_ref is even, so x and -x share the node |x| (for any law, even or
     not): on a realized density the weights are the trapezoid weights
     over the accurate region, folded onto |x| when x and -x are both
-    nodes (the grid is centered at 0), for samples every weight is 1/N.
+    nodes (the grid is centered at 0), for samples every weight is 1/N
+    and the nodes |x| are sorted, so g does not depend on their order.
     Of the N nodes, those with weight below
     1e-17 / (700 N) are dropped: logpdf is floor-clamped, so
     |ln p_ref| <= |ln 1e-300| < 700 and the dropped terms together move
@@ -98,8 +99,6 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
         y = f.h * np.arange(w.size)
     else:
         y = np.abs(f.x[f.core])
-        order = np.argsort(y, kind="stable")
-        y, w = y[order], w[order]
     keep = np.flatnonzero(w >= 1e-17 / (700.0 * w.size))
     y, w = y[keep], w[keep]
     rule = None if alpha == 2 else f.tail_rule()

@@ -7,7 +7,6 @@ P_alpha(error) >= (d kappa_alpha / J_alpha(N))^(1/alpha).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +51,9 @@ _GAP_POINTS = 32
 # cache-sized whatever the number of trials
 _BLOCK_POINTS = 1 << 15
 _MAX_ITER = 60
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine_minimum(x: np.ndarray, pad: float, loss, dloss=None) -> np.ndarray:
+def _refine_minimum(x: np.ndarray, pad: float, loss, dloss) -> np.ndarray:
     """Row-wise local minimizer of sum_i loss(x_i - theta) over theta.
 
     A grid of _GAP_POINTS per gap between each row's sorted samples,
@@ -63,48 +61,21 @@ def _refine_minimum(x: np.ndarray, pad: float, loss, dloss=None) -> np.ndarray:
     argmin, found in blocks of at most _BLOCK_POINTS grid points, is
     bracketed by the nearest distinct grid values (duplicate samples
     leave zero-width gaps).  All rows are then refined together, with
-    temporaries the size of x: by bisection on the sign of the slope,
-    sum_i dloss(x_i - theta), when dloss is given, else by golden
-    section.  Rows are independent, so the blocks change no estimate."""
+    temporaries the size of x, by bisection on the sign of the slope
+    sum_i dloss(x_i - theta), where dloss(u) is the theta-derivative
+    -loss'(u) up to a positive factor.  Rows are independent, so the
+    blocks change no estimate."""
     step = max(1, _BLOCK_POINTS // ((x.shape[1] + 1) * _GAP_POINTS + 1))
     blocks = [_bracket(x[i : i + step], pad, loss) for i in range(0, len(x), step)]
     a, b = np.concatenate(blocks, axis=1)
-
-    def at(fn, r, theta):
-        return fn(x[r] - theta[:, None]).sum(axis=1)
-
-    def unconverged():
-        return np.flatnonzero(b - a >= 1e-10 * (1.0 + np.abs(a)))
-
-    if dloss is not None:
-        for _ in range(_MAX_ITER):
-            r = unconverged()
-            if r.size == 0:
-                break
-            mid = (a[r] + b[r]) / 2.0
-            up = at(dloss, r, mid) > 0
-            b[r] = np.where(up, mid, b[r])
-            a[r] = np.where(up, a[r], mid)
-        return (a + b) / 2.0
-
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    rows = np.arange(len(x))
-    fc, fd = at(loss, rows, c), at(loss, rows, d)
     for _ in range(_MAX_ITER):
-        r = unconverged()
+        r = np.flatnonzero(b - a >= 1e-10 * (1.0 + np.abs(a)))
         if r.size == 0:
             break
-        # left: the minimum is in [a, d], d takes c's place and c is new;
-        # else it is in [c, b], c takes d's place and d is new
-        left = fc[r] < fd[r]
-        a[r] = np.where(left, a[r], c[r])
-        b[r] = np.where(left, d[r], b[r])
-        kept, fkept = np.where(left, c[r], d[r]), np.where(left, fc[r], fd[r])
-        new = np.where(left, b[r] - _INVPHI * (b[r] - a[r]), a[r] + _INVPHI * (b[r] - a[r]))
-        fnew = at(loss, r, new)
-        c[r], d[r] = np.where(left, new, kept), np.where(left, kept, new)
-        fc[r], fd[r] = np.where(left, fnew, fkept), np.where(left, fkept, fnew)
+        mid = (a[r] + b[r]) / 2.0
+        up = dloss(x[r] - mid[:, None]).sum(axis=1) > 0
+        b[r] = np.where(up, mid, b[r])
+        a[r] = np.where(up, a[r], mid)
     return (a + b) / 2.0
 
 
@@ -126,16 +97,18 @@ def _bracket(x: np.ndarray, pad: float, loss) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _sample_rows(samples) -> tuple[np.ndarray, bool]:
-    """Samples as a (B, n) float array, and whether they came as one set."""
+def _location_estimate(samples, pad: float, loss, dloss):
+    """_refine_minimum of one sample set (a float) or of each row of a
+    (B, n) array (B estimates); one sample is its own estimate."""
     x = np.asarray(samples, dtype=float)
     if x.ndim not in (1, 2) or x.size == 0:
         raise ValueError("samples must be a nonempty 1-D set or a (B, n) array")
-    return np.atleast_2d(x), x.ndim == 1
-
-
-def _per_set(est: np.ndarray, single: bool):
-    return float(est[0]) if single else est
+    rows = np.atleast_2d(x)
+    if rows.shape[1] == 1:
+        est = rows[:, 0].copy()
+    else:
+        est = _refine_minimum(rows, pad, loss, dloss)
+    return float(est[0]) if x.ndim == 1 else est
 
 
 def myriad_estimate(samples, K: float):
@@ -147,27 +120,28 @@ def myriad_estimate(samples, K: float):
     sum (theta - x_i) / (K^2 + (x_i - theta)^2) refines it, which stays
     accurate where the objective itself is flat to roundoff;
     deterministic."""
-    x, single = _sample_rows(samples)
     if not K > 0:
         raise ValueError("K must be positive")
-    if x.shape[1] == 1:
-        return _per_set(x[:, 0].copy(), single)
     k2 = K * K
-    est = _refine_minimum(
-        x, K, lambda u: np.log(k2 + u * u), lambda u: -u / (k2 + u * u)
+    return _location_estimate(
+        samples, K, lambda u: np.log(k2 + u * u), lambda u: -u / (k2 + u * u)
     )
-    return _per_set(est, single)
 
 
 def ml_location_estimate(samples, alpha: float, gamma: float):
     """Maximum-likelihood location under S(alpha, gamma) noise: argmax of
-    the product likelihood, by the same hull-wide grid and golden-section
-    refinement; one set or a (B, n) array, as for myriad_estimate."""
-    x, single = _sample_rows(samples)
-    if x.shape[1] == 1:
-        return _per_set(x[:, 0].copy(), single)
-    est = _refine_minimum(x, gamma, lambda u: -stable.logpdf_sas(alpha, gamma, u))
-    return _per_set(est, single)
+    the product likelihood, by the same hull-wide grid, then bisection
+    on the slope sum_i (ln p)'(x_i - theta) of the negative
+    log-likelihood, from the spline or closed form of stable.logpdf_sas;
+    one set or a (B, n) array, as for myriad_estimate."""
+    # refuses a bad noise law also where one sample needs no density
+    stable.StableParams(alpha, gamma)
+    return _location_estimate(
+        samples,
+        gamma,
+        lambda u: -stable.logpdf_sas(alpha, gamma, u),
+        lambda u: stable.logpdf_sas(alpha, gamma, u, slope=True)[1],
+    )
 
 
 @dataclass

@@ -237,10 +237,9 @@ class GriddedDensity:
         indexing, interval k = (x - x_lo) // h, summed in PPoly's order
         c3 + c2 s + c1 s^2 + c0 s^3.
 
-        With slope=True it returns the pair (ln p, d ln p/dx), and xq
-        must be sorted ascending from the center on, as the folded
-        nodes of a quadrature rule are: then one searchsorted splits
-        the spline region from the tail."""
+        With slope=True it returns the pair (ln p, d ln p/dx) at points
+        of any shape and order: the spline's derivative inside, the tail
+        law's outside (0 without one)."""
         if self._spline is None:
             thresh = float(np.max(self.values)) * 1e-14
             i = int(np.argmax(self.values))
@@ -260,12 +259,8 @@ class GriddedDensity:
         knots, c = self._spline
         d = xq - self.center
         r = min(self.accurate_radius, knots[-1] - self.center)
-        if slope:
-            inside = slice(0, int(np.searchsorted(d, r, side="right")))
-            outside = slice(inside.stop, None)
-        else:
-            inside = (d >= max(-r, knots[0] - self.center)) & (d <= r)
-            outside = ~inside
+        inside = (d >= max(-r, knots[0] - self.center)) & (d <= r)
+        outside = ~inside
         xi = xq[inside]
         k = np.minimum(((xi - knots[0]) / self.h).astype(np.intp), knots.size - 2)
         s = xi - knots.take(k)

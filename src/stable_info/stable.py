@@ -230,8 +230,7 @@ def sas_density(alpha: float, gamma: float) -> GriddedDensity:
 def logpdf_sas(alpha: float, gamma: float, x, slope=False):
     """Log-density at arbitrary points: cubic interpolation on the
     cached grid inside its accurate region, tail series outside.  With
-    slope=True, at points sorted ascending from 0 on, the pair
-    (ln p, d ln p/dx) (GriddedDensity.logpdf)."""
+    slope=True the pair (ln p, d ln p/dx) (GriddedDensity.logpdf)."""
     if alpha == 2:
         # N(0, 2 gamma^2)
         var = 2.0 * gamma**2

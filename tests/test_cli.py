@@ -406,6 +406,8 @@ SNAPSHOT_COMMANDS = {
     "debruijn-check.json": ["debruijn-check"],
     "capacity.json": ["capacity", "--alpha", "1.8", "--gamma-n", "1", "--A", "3"],
     "crb-bench.json": ["crb-bench", "--trials", "2000"],
+    "crb-bench-myriad-n10.json": ["crb-bench", "--estimator", "myriad", "--n", "10", "--trials", "500"],
+    "crb-bench-ml-n10.json": ["crb-bench", "--estimator", "ml_identity", "--n", "10", "--trials", "200"],
     "suite.json": ["suite"],
 }
 
@@ -431,6 +433,8 @@ def _same_json(got, want) -> bool:
         )
     if isinstance(want, list):
         return len(got) == len(want) and all(map(_same_json, got, want))
+    if want is None:
+        return got is None
     return type(got) is type(want) and _same_cell(got, want)
 
 

@@ -110,6 +110,15 @@ class TestML:
             myriad_estimate(x, 1.0), abs=1e-6
         )
 
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ml_location_estimate([], 1.5, 1.0)
+        # the noise law is checked before the one-sample shortcut
+        with pytest.raises(ValueError):
+            ml_location_estimate([1.0], 3.0, 1.0)
+        with pytest.raises(ValueError):
+            ml_location_estimate([[1.0], [2.0]], 1.5, -2.0)
+
 
 class TestRunEstimator:
     def test_seed_determinism(self):

@@ -10,7 +10,7 @@ from stable_info.estimate import (
     myriad_estimate,
     run_estimator,
 )
-from stable_info.stable import StableParams, sample_sas
+from stable_info.stable import StableParams, logpdf_sas, sample_sas
 
 
 def test_myriad_global_basin():
@@ -45,6 +45,27 @@ def test_ml_rows_equal_single_sets(alpha, n):
     assert batch.shape == (12,)
     single = np.array([ml_location_estimate(row, alpha, 1.0) for row in x])
     np.testing.assert_allclose(batch, single, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+@pytest.mark.parametrize("n", [5, 10])
+def test_ml_estimates_are_slope_roots(alpha, n):
+    # the slope sum_i (ln p)'(x_i - theta) of the negative
+    # log-likelihood changes sign within delta of every estimate
+    x = sample_sas(alpha, 1.0, (100, n), seed=[25, n])
+    theta = ml_location_estimate(x, alpha, 1.0)
+
+    def slope(t):
+        # (ln p)' is odd: taken at |u| in ascending order, signed by u
+        u = x - t[:, None]
+        order = np.argsort(np.abs(u), axis=None)
+        dlp = np.empty(u.size)
+        dlp[order] = logpdf_sas(alpha, 1.0, np.abs(u).ravel()[order], slope=True)[1]
+        return (np.sign(u) * dlp.reshape(u.shape)).sum(axis=1)
+
+    delta = 1e-9 * (1.0 + np.abs(theta))
+    assert np.all(slope(theta - delta) <= 0.0)
+    assert np.all(slope(theta + delta) >= 0.0)
 
 
 def test_single_column_rows_are_the_samples():

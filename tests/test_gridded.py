@@ -187,18 +187,25 @@ class TestGriddedDensity:
     @pytest.mark.parametrize(
         "make", [gaussian_grid, lambda: realize(SaS(1.2, 1.0))], ids=["gaussian", "sas"]
     )
-    def test_logpdf_slope_on_sorted_nodes(self, make):
+    def test_logpdf_slope_on_nodes(self, make):
         # nodes from the center out across the spline region into the
-        # tail (or the floor), as a folded quadrature rule passes them
+        # tail (or the floor), as a folded quadrature rule passes them;
+        # the same distances shuffled onto both sides; and those as a
+        # 2-D array
         f = make()
-        x = f.center + np.linspace(0.0, 1.5 * f.half_extent, 3001)
-        lp, dlp = f.logpdf(x, slope=True)
-        assert np.array_equal(lp, f.logpdf(x))
+        d = np.linspace(0.0, 1.5 * f.half_extent, 3001)
+        two_sided = np.random.default_rng(0).permutation(np.concatenate([d, -d[1:]]))
         e = 1e-6 * f.half_extent
-        central = (f.logpdf(x + e) - f.logpdf(x - e)) / (2.0 * e)
-        # the handoff from spline to tail is not smooth
-        smooth = np.abs(x - f.center - min(f.accurate_radius, f._spline.x[-1])) > 2.0 * e
-        np.testing.assert_allclose(dlp[smooth], central[smooth], rtol=1e-5, atol=1e-8)
+        f.logpdf(0.0)
+        hi = min(f.accurate_radius, f._spline.x[-1] - f.center)
+        lo = max(-hi, f._spline.x[0] - f.center)
+        for x in f.center + d, f.center + two_sided, f.center + two_sided[:6000].reshape(60, 100):
+            lp, dlp = f.logpdf(x, slope=True)
+            assert np.array_equal(lp, f.logpdf(x))
+            central = (f.logpdf(x + e) - f.logpdf(x - e)) / (2.0 * e)
+            # the handoff from spline to tail is not smooth
+            smooth = (np.abs(x - f.center - hi) > 2.0 * e) & (np.abs(x - f.center - lo) > 2.0 * e)
+            np.testing.assert_allclose(dlp[smooth], central[smooth], rtol=1e-5, atol=1e-8)
 
     def test_logpdf_beyond_grid_without_tail_is_floored(self):
         f = gaussian_grid()
