@@ -50,7 +50,7 @@ class AlphaPowerResult:
 class _GRule:
     """g(P) = -sum_i w_i ln p_ref(y_i / P) + c0 - c1 ln P for one (law,
     alpha), over nodes y >= 0, so each evaluation is one reference
-    log-density call.
+    log-density call.  A realized law shares one y and w across alphas.
 
     c0 - c1 ln P is the analytic correction for the mass beyond the grid
     (the reference log-density is asymptotically -ln c1_ref +
@@ -76,33 +76,36 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
     """The quadrature rule of g for a law.
 
     p_ref is even, so x and -x share the node |x| (for any law, even or
-    not): on a realized density the weights are the trapezoid weights
-    over the accurate region, folded onto |x| when x and -x are both
-    nodes (the grid is centered at 0), for samples every weight is 1/N
-    and the nodes |x| are sorted, so g does not depend on their order.
-    Of the N nodes, those with weight below
-    1e-17 / (700 N) are dropped: logpdf is floor-clamped, so
-    |ln p_ref| <= |ln 1e-300| < 700 and the dropped terms together move
-    g by less than 1e-17, five orders below ROOT_TOL.  Light tails
-    lose most of their nodes (Laplace(1) keeps 8,355 of 32,768),
-    heavy tails keep all of theirs."""
+    not): for samples every weight is 1/N and the nodes |x| are sorted,
+    so g does not depend on their order.  On a realized density the
+    weights are the trapezoid weights over the accurate region, folded
+    onto |x| when x and -x are both nodes (the grid is centered at 0).
+    Of the N nodes, those with weight below 1e-17 / (700 N) are dropped:
+    logpdf is floor-clamped, so |ln p_ref| <= |ln 1e-300| < 700 and the
+    dropped terms together move g by less than 1e-17, five orders below
+    ROOT_TOL.  Light tails lose most of their nodes (Laplace(1) keeps
+    8,355 of 32,768), heavy tails keep all of theirs.  Nodes, weights
+    and tail_rule() are kept on the density: an alpha adds c0, c1."""
     if isinstance(law, Empirical):
         s = law.samples
         return _GRule(alpha, np.sort(np.abs(s)), np.full(s.size, 1.0 / s.size))
     f = dens.realize(law)
-    w = f.values[f.core] * f.h
-    w[0] /= 2.0
-    w[-1] /= 2.0
-    if f.center == 0:
-        # x[n // 2 + k] = k h
-        w = np.bincount(np.abs(np.arange(f.core.start, f.core.stop) - f.n // 2), weights=w)
-        y = f.h * np.arange(w.size)
-    else:
-        y = np.abs(f.x[f.core])
-    keep = np.flatnonzero(w >= 1e-17 / (700.0 * w.size))
-    y, w = y[keep], w[keep]
-    rule = None if alpha == 2 else f.tail_rule()
-    if rule is None:
+    if f._folded is None:
+        w = f.values[f.core] * f.h
+        w[0] /= 2.0
+        w[-1] /= 2.0
+        if f.center == 0:
+            # x[n // 2 + k] = k h
+            w = np.bincount(np.abs(np.arange(f.core.start, f.core.stop) - f.n // 2), weights=w)
+            y = f.h * np.arange(w.size)
+        else:
+            y = np.abs(f.x[f.core])
+        keep = np.flatnonzero(w >= 1e-17 / (700.0 * w.size))
+        y, w = y[keep], w[keep]
+        y.flags.writeable = w.flags.writeable = False
+        f._folded = (y, w, f.tail_rule())
+    y, w, rule = f._folded
+    if rule is None or alpha == 2:
         return _GRule(alpha, y, w)
     r, a, c_tail = rule
     i0, i1 = power_tail_integrals(r, a)

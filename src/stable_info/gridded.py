@@ -117,17 +117,20 @@ class TailLaw:
 _Cubic = namedtuple("_Cubic", "x c")
 
 
-def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The (4, m - 1) coefficients of scipy's not-a-knot CubicSpline
-    through the m knots x and values y, bit for bit.
+def _not_a_knot(x: np.ndarray, y: np.ndarray, start: int) -> np.ndarray:
+    """The (4, m - 1 - start) coefficients of scipy's not-a-knot
+    CubicSpline through the m knots x and values y, bit for bit, for the
+    intervals from knot start on: CubicSpline(x, y).c[:, start:].
 
-    The knot slopes s come from the same linear system, built the same
-    way and handed to the same scipy.linalg solver (the (3, m) band for
-    m > 3, the 3 x 3 parabola for m = 3; m = 2 is the line), and the
-    rows are formed as CubicHermiteSpline forms them."""
+    The knot slopes s come from the same linear system over all m knots,
+    built the same way and handed to the same scipy.linalg solver (the
+    (3, m) band for m > 3, the 3 x 3 parabola for m = 3; m = 2 is the
+    line), and the rows are formed as CubicHermiteSpline forms them."""
     m = x.size
     if m < 2:
         raise ValueError(f"a spline needs at least 2 knots, got {m}")
+    if not 0 <= start <= m - 2:
+        raise ValueError(f"no spline interval starts at knot {start} of {m}")
     dx = np.diff(x)
     slope = np.diff(y) / dx
     if m == 2:
@@ -152,8 +155,11 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         ab[1, -1], ab[-1, -2] = dx[-2], d
         b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
         s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+    dx, slope, s0 = dx[start:], slope[start:], s[start:-1]
+    t = (s0 + s[start + 1 :] - 2 * slope) / dx
+    c = np.empty((4, m - 1 - start))
+    c[0], c[1], c[2], c[3] = t / dx, (slope - s0) / dx - t, s0, y[start:-1]
+    return c
 
 
 @dataclass
@@ -166,6 +172,9 @@ class GriddedDensity:
     # (q, |phi|, tail mass) of the spectral J_alpha, kept by
     # jalpha._parseval_weights
     _spectral: tuple | None = field(default=None, repr=False, compare=False)
+    # (y, w, tail_rule()) of the alpha-power's g(P), kept by
+    # alphapower._g_rule
+    _folded: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -225,21 +234,23 @@ class GriddedDensity:
         )
 
     def logpdf(self, xq, slope=False):
-        """Log-density: cubic interpolation inside the accurate region,
-        tail formula at the distance from the center outside
-        (floor-clamped when no tail law).
+        """Log-density at the distance d = |x - center| (the density is
+        symmetric): cubic interpolation inside the accurate region, tail
+        formula outside (floor-clamped when no tail law).
 
-        The spline only covers the contiguous central region where the
-        values sit clearly above the FFT/underflow noise floor; a cubic
-        fit through noise-level samples oscillates without bound in log
-        space.  It is scipy's not-a-knot CubicSpline, built here by
-        _not_a_knot; the knots are uniform, so it is evaluated by direct
-        indexing, interval k = (x - x_lo) // h, summed in PPoly's order
+        The spline is scipy's not-a-knot CubicSpline (_not_a_knot)
+        through the contiguous central run of values clearly above the
+        FFT/underflow noise floor (a cubic through noise-level samples
+        oscillates without bound in log space); only its intervals from
+        the center out are kept, so it reads d up to r, the accurate
+        radius or the last knot.  The knots are uniform: interval
+        k = d // h by direct indexing, summed in PPoly's order
         c3 + c2 s + c1 s^2 + c0 s^3.
 
         With slope=True it returns the pair (ln p, d ln p/dx) at points
         of any shape and order: the spline's derivative inside, the tail
-        law's outside (0 without one)."""
+        law's outside (0 without one; -(1 + exponent)/d where p underflows
+        to 0), negated left of the center."""
         if self._spline is None:
             thresh = float(np.max(self.values)) * 1e-14
             i = int(np.argmax(self.values))
@@ -250,20 +261,21 @@ class GriddedDensity:
             hi = int(right[0]) - 1 if right.size else self.n - 1
             sl = slice(lo, hi + 1)
             logp = np.log(np.clip(self.values[sl], _FLOOR, None))
-            knots = self.x[sl]
-            self._spline = _Cubic(knots, _not_a_knot(knots, logp))
+            # x[n // 2] is the center itself: the kept knots are d = 0, h, ...
+            knots = self.x[self.n // 2 : hi + 1] - self.center
+            self._spline = _Cubic(knots, _not_a_knot(self.x[sl], logp, self.n // 2 - lo))
         xq = np.asarray(xq, dtype=float)
         scalar = xq.ndim == 0
         xq = np.atleast_1d(xq)
         out = np.empty_like(xq)
         knots, c = self._spline
-        d = xq - self.center
-        r = min(self.accurate_radius, knots[-1] - self.center)
-        inside = (d >= max(-r, knots[0] - self.center)) & (d <= r)
+        signed = xq - self.center
+        d = np.abs(signed)
+        inside = d <= min(self.accurate_radius, knots[-1])
         outside = ~inside
-        xi = xq[inside]
-        k = np.minimum(((xi - knots[0]) / self.h).astype(np.intp), knots.size - 2)
-        s = xi - knots.take(k)
+        di = d[inside]
+        k = np.minimum((di / self.h).astype(np.intp), knots.size - 2)
+        s = di - knots.take(k)
         c0, c1, c2 = c[0].take(k), c[1].take(k), c[2].take(k)
         s2 = s * s
         out[inside] = c[3].take(k) + c2 * s + c1 * s2 + c0 * (s2 * s)
@@ -271,9 +283,13 @@ class GriddedDensity:
         if self.tail is None:
             out[outside] = np.log(_FLOOR)
         else:
-            p = self.tail.pdf(d[outside], slope)
-            if slope:
-                p, tail_slope = p[0], p[1] / p[0]
+            do = d[outside]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                p = self.tail.pdf(do, slope)
+                if slope:
+                    p, dp = p
+                    tail_slope, zero = dp / p, p == 0
+                    tail_slope[zero] = -(1.0 + self.tail.exponent) / do[zero]
             out[outside] = np.log(np.maximum(p, _FLOOR))
         # NaN input gets the floor (fmax drops a NaN operand)
         np.fmax(out, np.log(_FLOOR), out=out)
@@ -282,6 +298,8 @@ class GriddedDensity:
         dout = np.empty_like(xq)
         dout[inside] = (3.0 * c0 * s + 2.0 * c1) * s + c2
         dout[outside] = tail_slope
+        # left of the center, flip the sign bit: it is the sign bit of x - center
+        dout.view(np.int64)[...] ^= signed.view(np.int64) & np.int64(-(2**63))
         return out, dout
 
     def pdf(self, xq) -> np.ndarray:

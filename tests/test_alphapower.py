@@ -288,6 +288,88 @@ def unfolded_g(f, alpha, P):
     return core + 2.0 * c_eff * (t1 + t2)
 
 
+# g(P) and dg/dt at P = s/50, s, 50 s (s the law's scale), recorded
+# before each law's fold was kept on its density and the spline was
+# kept from the center out
+G_PINNED = {
+    (Gaussian(1.0), 0.4): (
+        (6.121413165795884, -1.1412506251141228),
+        (2.812926128008658, -0.4560985010405452),
+        (2.2372457899764777, -0.00521399681726575),
+    ),
+    (Gaussian(1.0), 1.2): (
+        (8.508872397324808, -2.1755312106687152),
+        (1.5767975472899112, -0.746106118305899),
+        (1.054292253608657, -0.0006379863119963965),
+    ),
+    (Gaussian(1.0), 1.8): (
+        (11.513080793652192, -2.8488858779592765),
+        (1.4364803035504323, -0.9111102847490721),
+        (0.935734023807972, -0.0004334361689495049),
+    ),
+    (Uniform(1.0), 0.4): (
+        (5.69814406031528, -1.107266985159874),
+        (2.636300895993398, -0.3699641255229954),
+        (2.235459066399347, -0.0019031379199601723),
+    ),
+    (Uniform(1.0), 1.2): (
+        (7.71137478224507, -2.1690884880147125),
+        (1.2884079969393771, -0.4150559368128406),
+        (1.0540795577052793, -0.00021276010009263916),
+    ),
+    (Uniform(1.0), 1.8): (
+        (10.47774380225382, -2.862403891741507),
+        (1.113782380691309, -0.3516948159671406),
+        (0.935589544041809, -0.00014448682500354967),
+    ),
+    (Laplace(1.0), 0.4): (
+        (6.20969399477211, -1.1395365876952461),
+        (2.8841286811367195, -0.47360168387996165),
+        (2.239487338704597, -0.008950379737196517),
+    ),
+    (Laplace(1.0), 1.2): (
+        (8.645197472073724, -2.1656895705018258),
+        (1.7585768170749245, -0.8429807106613513),
+        (1.0546108026495016, -0.0012738491774941126),
+    ),
+    (Laplace(1.0), 1.8): (
+        (11.670080411961914, -2.848571983717584),
+        (1.7338365379241318, -1.1856458187917134),
+        (0.9359507132410879, -0.0008667385483960345),
+    ),
+    (Cauchy(1.0), 0.4): (
+        (6.906591120538847, -1.1822213459597966),
+        (3.272509761616797, -0.5864326339540124),
+        (2.2791958301370125, -0.04693208536042846),
+    ),
+    (Cauchy(1.0), 1.2): (
+        (9.902683270016196, -2.180087575716368),
+        (2.559037667749187, -1.1281287612217359),
+        (1.094861245129291, -0.04026050068257455),
+    ),
+    (Cauchy(1.0), 1.8): (
+        (13.302728531777687, -2.837948178805565),
+        (2.935134640110859, -1.624886679014993),
+        (0.9849937190273088, -0.04718477565756112),
+    ),
+    (SaS(1.5, 1.0), 0.4): (
+        (6.647831863590183, -1.1775405185088994),
+        (3.0715011198249185, -0.5537013551327926),
+        (2.247464988215266, -0.01864753700369977),
+    ),
+    (SaS(1.5, 1.0), 1.2): (
+        (9.476705355494468, -2.1833299575187306),
+        (2.0922512431905216, -1.0676515995620928),
+        (1.0585780576341763, -0.006871732990175002),
+    ),
+    (SaS(1.5, 1.0), 1.8): (
+        (12.76702314239408, -2.8360183059550366),
+        (2.199595614142709, -1.543227732484179),
+        (0.9398976394488932, -0.006421111663035957),
+    ),
+}
+
+
 class TestFoldedRule:
     @pytest.mark.parametrize(
         "law",
@@ -316,6 +398,21 @@ class TestFoldedRule:
         r = alpha_power(law, alpha)
         assert r.method == "numeric_root"
         assert r.residual == abs(g_of_P(law, alpha, r.value) - reference_entropy(alpha))
+
+    @pytest.mark.parametrize("key", list(G_PINNED), ids=str)
+    def test_power_table_g_pinned(self, key):
+        law, alpha = key
+        s = law.scale_hint()
+        rule = _g_rule(law, alpha)
+        for P, want in zip((s / 50.0, s, 50.0 * s), G_PINNED[key]):
+            assert rule(P) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("law", DEFAULT_POWER_LAWS, ids=str)
+    def test_one_fold_per_law(self, law):
+        # the nodes and weights do not depend on alpha: one fold serves all
+        a, b = _g_rule(law, 0.4), _g_rule(law, 1.8)
+        assert a.y is b.y and a.w is b.w
+        assert not a.y.flags.writeable and not a.w.flags.writeable
 
     def test_power_table_g_evaluations(self, monkeypatch):
         calls = counted_logpdf(monkeypatch)
@@ -387,6 +484,14 @@ class TestEmpiricalRoute:
         with pytest.raises(ValueError, match="finite") as err:
             alpha_power(Empirical(s), alpha)
         assert len(str(err.value)) < 100
+
+    def test_outlier_past_the_tail_underflow(self):
+        # p_ref underflows to 0 near 1e129 at alpha 1.5, where its slope
+        # was 0/0 and g(P) NaN
+        base = sample_sas(1.5, 1.0, 999, 3)
+        near = alpha_power(Empirical(np.append(base, 1e100)), 1.5).value
+        far = alpha_power(Empirical(np.append(base, 1e130)), 1.5)
+        assert far.finite and far.value > near
 
     def test_sampled_stable_recovers_power(self):
         alpha = 1.6

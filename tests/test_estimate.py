@@ -120,6 +120,14 @@ class TestML:
             ml_location_estimate([[1.0], [2.0]], 1.5, -2.0)
 
 
+    def test_outlier_past_the_tail_underflow(self):
+        # the slope of ln p at 1e130 was 0/0, which steered the bisection
+        far = ml_location_estimate([0.0, 0.3, 1e130], 1.5, 1.0)
+        near = ml_location_estimate([0.0, 0.3, 1e100], 1.5, 1.0)
+        assert far == pytest.approx(near, abs=1e-9)
+        assert far == pytest.approx(0.15, abs=1e-9)
+
+
 class TestRunEstimator:
     def test_seed_determinism(self):
         noise = StableParams.symmetric(1.5, 1.0)

@@ -25,6 +25,28 @@ def gaussian_grid(sigma=1.0, n=2**14, L=12.0):
     return GriddedDensity(float(x[0]), g.h, p).normalize()
 
 
+def noise_run(v):
+    """(lo, hi): the run of values above 1e-14 of the peak that holds
+    the peak, by an explicit walk outward from it."""
+    thresh = float(np.max(v)) * 1e-14
+    i = int(np.argmax(v))
+    lo = i
+    while lo > 0 and v[lo - 1] > thresh:
+        lo -= 1
+    hi = i
+    while hi < len(v) - 1 and v[hi + 1] > thresh:
+        hi += 1
+    return lo, hi
+
+
+def full_run_spline(f):
+    """scipy's CubicSpline through the whole noise run of f, and the
+    index of the center among its knots."""
+    lo, hi = noise_run(f.values)
+    logp = np.log(np.clip(f.values[lo : hi + 1], 1e-300, None))
+    return CubicSpline(f.x[lo : hi + 1], logp, extrapolate=False), f.n // 2 - lo
+
+
 class TestGridSpec:
     def test_points_symmetric(self):
         g = GridSpec(n=8, half_extent=4.0)
@@ -124,22 +146,13 @@ class TestGriddedDensity:
     def test_logpdf_spline_span(self, sigma, L):
         # N(0, 9) on [-12, 12) stays above the cut, so the spline spans
         # the whole grid; N(0, 1) on [-60, 60) underflows to 0 in both
-        # wings, so the spline stops short of the grid ends
-        def loop_span(v):
-            thresh = float(np.max(v)) * 1e-14
-            i = int(np.argmax(v))
-            lo = i
-            while lo > 0 and v[lo - 1] > thresh:
-                lo -= 1
-            hi = i
-            while hi < len(v) - 1 and v[hi + 1] > thresh:
-                hi += 1
-            return lo, hi
-
+        # wings, so the spline stops short of the grid ends; either way
+        # the kept knots run from the center to the run's right end
         f = gaussian_grid(sigma=sigma, L=L)
         f.logpdf(0.0)
-        lo, hi = loop_span(f.values)
-        assert (f._spline.x[0], f._spline.x[-1]) == (f.x[lo], f.x[hi])
+        lo, hi = noise_run(f.values)
+        assert (f._spline.x[0], f._spline.x[-1]) == (0.0, f.x[hi] - f.center)
+        assert f._spline.c.shape == (4, hi - f.n // 2)
         assert ((lo, hi) == (0, f.n - 1)) == (sigma == 3.0)
         assert (np.min(f.values) == 0.0) == (sigma == 1.0)
 
@@ -154,34 +167,35 @@ class TestGriddedDensity:
     )
     @given(
         u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
-        v=st.floats(0.0, 1.0),
+        v=st.floats(-1.0, 1.0),
         far=st.lists(st.floats(1.0, 3.0), min_size=1, max_size=10),
     )
     @settings(max_examples=25, deadline=None)
     def test_logpdf_matches_scipy_spline(self, make, u, v, far):
+        # the spline through the whole noise run, read at |x - center|
+        # on [-r, r]
         f = make()
         f.logpdf(0.0)
-        knots = f._spline.x
-        lo = int(np.searchsorted(f.x, knots[0]))
-        logp = np.log(np.clip(f.values[lo : lo + knots.size], 1e-300, None))
-        spline = CubicSpline(knots, logp, extrapolate=False)
-        assert np.array_equal(f._spline.c, spline.c)
-        r = min(f.accurate_radius, knots[-1])
-        r_lo = max(-r, knots[0])
-        xs = np.concatenate([r_lo + (r - r_lo) * np.array(u), knots[::7], [r_lo, r]])
-        xs = xs[(xs >= r_lo) & (xs <= r)]
-        np.testing.assert_allclose(f.logpdf(xs), spline(xs), rtol=0, atol=1e-14)
-        x0 = r_lo + (r - r_lo) * v
+        spline, start = full_run_spline(f)
+        assert np.array_equal(f._spline.c, spline.c[:, start:])
+        assert np.array_equal(f._spline.x, spline.x[start:] - f.center)
+        r = min(f.accurate_radius, f._spline.x[-1])
+        d = np.concatenate([r * np.array(u), f._spline.x[::7], [0.0, r]])
+        d = d[d <= r]
+        want = spline(f.center + d)
+        np.testing.assert_allclose(f.logpdf(f.center + d), want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(f.logpdf(f.center - d), want, rtol=0, atol=1e-14)
+        x0 = f.center + r * v
         assert np.ndim(f.logpdf(x0)) == 0
-        assert f.logpdf(x0) == pytest.approx(float(spline(x0)), rel=0, abs=1e-14)
+        assert f.logpdf(x0) == pytest.approx(float(spline(f.center + r * abs(v))), rel=0, abs=1e-14)
         # outside the region: the tail law, or the floor without one
         t = np.array(far) * f.half_extent + r
-        out = np.concatenate([t, -t, [np.nextafter(r, np.inf), np.nextafter(r_lo, -np.inf)]])
+        out = np.concatenate([t, -t, [np.nextafter(r, np.inf), np.nextafter(-r, -np.inf)]])
         if f.tail is None:
             expect = np.full(out.size, np.log(1e-300))
         else:
             expect = np.log(np.clip(f.tail.pdf(np.abs(out)), 1e-300, None))
-        assert np.array_equal(f.logpdf(out), expect)
+        assert np.array_equal(f.logpdf(f.center + out), expect)
         assert f.logpdf(np.nan) == np.log(1e-300)
 
     @pytest.mark.parametrize(
@@ -197,15 +211,52 @@ class TestGriddedDensity:
         two_sided = np.random.default_rng(0).permutation(np.concatenate([d, -d[1:]]))
         e = 1e-6 * f.half_extent
         f.logpdf(0.0)
-        hi = min(f.accurate_radius, f._spline.x[-1] - f.center)
-        lo = max(-hi, f._spline.x[0] - f.center)
+        r = min(f.accurate_radius, f._spline.x[-1])
         for x in f.center + d, f.center + two_sided, f.center + two_sided[:6000].reshape(60, 100):
             lp, dlp = f.logpdf(x, slope=True)
             assert np.array_equal(lp, f.logpdf(x))
             central = (f.logpdf(x + e) - f.logpdf(x - e)) / (2.0 * e)
             # the handoff from spline to tail is not smooth
-            smooth = (np.abs(x - f.center - hi) > 2.0 * e) & (np.abs(x - f.center - lo) > 2.0 * e)
+            smooth = np.abs(np.abs(x - f.center) - r) > 2.0 * e
             np.testing.assert_allclose(dlp[smooth], central[smooth], rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            gaussian_grid,
+            lambda: realize(SaS(1.2, 1.0)),
+            lambda: realize(Laplace(1.0)),
+            # centered at 0.5, where center +- d is exact for d on 2^-10
+            lambda: GriddedDensity(0.5 - 12.0, 24.0 / 2**14, gaussian_grid().values),
+        ],
+        ids=["gaussian", "sas", "laplace", "shifted"],
+    )
+    def test_logpdf_is_symmetric_about_the_center(self, make):
+        # one reading for both sides, spline, tail and floor alike
+        f = make()
+        d = np.arange(1, 2**14) * 2.0**-10 * (1.5 * f.half_extent // 16 + 1)
+        d = np.concatenate([d, [1e10, 1e100, 1e130, 1e200, 1e300]])
+        right, dright = f.logpdf(f.center + d, slope=True)
+        left, dleft = f.logpdf(f.center - d, slope=True)
+        assert np.array_equal(left, right)
+        assert np.array_equal(dleft, -dright)
+        assert np.all(np.isfinite(dright))
+
+    @pytest.mark.parametrize("alpha", [0.4, 1.5, 1.9])
+    def test_tail_slope_where_the_density_underflows(self, alpha):
+        # p = 0 from |x| ~ 1e129 at alpha 1.5, and x |x| overflows past
+        # 1.3e154: the slope is the leading term's -(1 + alpha)/x there
+        f = realize(SaS(alpha, 1.0))
+        x = np.array([1e100, 1e130, 1e160, 1e200, 1e300, np.inf])
+        x = np.concatenate([x, -x])
+        lp, dlp = f.logpdf(x, slope=True)
+        p = f.tail.pdf(x)
+        zero = p == 0
+        assert zero[4] and zero[5]
+        assert np.array_equal(dlp[zero], -(1.0 + alpha) / x[zero])
+        assert np.array_equal(lp, f.logpdf(x))
+        assert np.all(lp[zero] == np.log(1e-300))
+        assert dlp[0] == pytest.approx(-(1.0 + alpha) / 1e100, rel=1e-12)
 
     def test_logpdf_beyond_grid_without_tail_is_floored(self):
         f = gaussian_grid()
@@ -229,7 +280,9 @@ class TestNotAKnot:
     def test_bit_identical_to_cubic_spline(self, m, noisy):
         x = self.knots(m)
         y = np.random.default_rng(m).standard_normal(m) if noisy else np.sin(x) - 0.5 * x**2
-        assert np.array_equal(_not_a_knot(x, y), CubicSpline(x, y).c)
+        c = CubicSpline(x, y).c
+        for start in 0, 1, m // 2, m - 2:
+            assert np.array_equal(_not_a_knot(x, y, start), c[:, start:])
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_short_regions(self, m):
@@ -237,13 +290,20 @@ class TestNotAKnot:
         # through the knots
         x = self.knots(m)
         y = np.array([-1.0, 0.5, 0.2][:m])
-        c = _not_a_knot(x, y)
+        c = _not_a_knot(x, y, 0)
         assert c.shape == (4, m - 1)
         assert np.array_equal(c, CubicSpline(x, y).c)
+        assert np.array_equal(_not_a_knot(x, y, m - 2), CubicSpline(x, y).c[:, m - 2 :])
 
     def test_one_knot_refused(self):
         with pytest.raises(ValueError, match="at least 2 knots"):
-            _not_a_knot(np.array([0.5]), np.array([1.0]))
+            _not_a_knot(np.array([0.5]), np.array([1.0]), 0)
+
+    @pytest.mark.parametrize("start", [-1, 4])
+    def test_start_without_an_interval_refused(self, start):
+        x = self.knots(5)
+        with pytest.raises(ValueError, match="no spline interval"):
+            _not_a_knot(x, np.sin(x), start)
 
     @pytest.mark.parametrize("peak", [[1.0], [1.0, 2.0], [1.0, 2.0, 0.5]], ids=["m1", "m2", "m3"])
     def test_logpdf_on_short_regions(self, peak):

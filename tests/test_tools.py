@@ -13,3 +13,17 @@ def test_src_lines_is_the_wc_total():
     files = sorted(str(p) for p in (ROOT / "src" / "stable_info").glob("*.py"))
     out = subprocess.run(["wc", "-l", *files], capture_output=True, text=True, check=True)
     assert bench_record.src_lines(ROOT) == int(out.stdout.splitlines()[-1].split()[0])
+
+
+def test_time_cli_counts_minor_page_faults(monkeypatch):
+    # the second command writes every byte of 64 MB
+    commands = {"noop": ["-c", "pass"], "alloc": ["-c", "b = b'x' * 2**26"]}
+    monkeypatch.setattr(bench_record, "CLI_COMMANDS", commands)
+    out, ok = bench_record.time_cli(ROOT, 2)
+    assert ok
+    for rec in out.values():
+        faults = rec["minflt"]
+        assert len(faults["values"]) == 2 and all(isinstance(v, int) and v > 0 for v in faults["values"])
+        assert faults["q1"] <= faults["median"] <= faults["q3"]
+    # 64 MB is 16,384 pages of 4 KB, or 32 huge pages of 2 MB
+    assert out["alloc"]["minflt"]["median"] - out["noop"]["minflt"]["median"] >= 32

@@ -10,7 +10,8 @@ perfbench/run.py --runs times untraced, keeping the median and
 quartiles of each end-to-end metric over the runs, and --runs times
 traced, keeping the median of each per-layer metric.  It also times
 the default CLI commands (and a bare import of the CLI) as
-subprocesses, start-up included, --cli-repeats times each.  The CLI and
+subprocesses, start-up included, --cli-repeats times each, and counts
+each one's minor page faults.  The CLI and
 the benchmark workers both run single-threaded (OMP, OpenBLAS and MKL
 threads set to 1).  The file also holds nproc, the python, numpy
 and scipy versions, and src_lines, the line count of
@@ -27,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -113,18 +115,26 @@ def record_workload(repo: Path, workload: str, args) -> tuple[dict, bool]:
 
 
 def time_cli(repo: Path, repeats: int) -> tuple[dict, bool]:
-    """Wall seconds of each CLI command as a subprocess, start-up included."""
+    """Wall seconds of each CLI command as a subprocess, start-up included,
+    and its minor page faults (the growth of RUSAGE_CHILDREN's ru_minflt
+    over the run), which stay steady where wall time drifts."""
     env, ok, out = single_thread_env(repo), True, {}
     for name, argv in CLI_COMMANDS.items():
-        times, codes = [], []
+        times, faults, codes = [], [], []
         for _ in range(repeats):
+            f0 = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
             t0 = time.perf_counter()
             proc = subprocess.run([sys.executable, *argv], cwd=repo, env=env, capture_output=True)
             times.append(time.perf_counter() - t0)
+            faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - f0)
             codes.append(proc.returncode)
         ok = ok and not any(codes)
-        out[name] = {"unit": "s", **spread(times), "exit_codes": codes}
-        print(f"cli {name}: {statistics.median(times):.3f} s, exit {codes}", file=sys.stderr)
+        out[name] = {"unit": "s", **spread(times), "minflt": spread(faults), "exit_codes": codes}
+        print(
+            f"cli {name}: {statistics.median(times):.3f} s, "
+            f"{statistics.median(faults):.0f} minor faults, exit {codes}",
+            file=sys.stderr,
+        )
     return out, ok
 
 
