@@ -119,7 +119,6 @@ class TestML:
         with pytest.raises(ValueError):
             ml_location_estimate([[1.0], [2.0]], 1.5, -2.0)
 
-
     def test_outlier_past_the_tail_underflow(self):
         # the slope of ln p at 1e130 was 0/0, which steered the bisection
         far = ml_location_estimate([0.0, 0.3, 1e130], 1.5, 1.0)
