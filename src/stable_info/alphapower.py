@@ -23,7 +23,6 @@ import numpy as np
 from . import density as dens
 from . import stable
 from .density import Cauchy, Empirical, RandomLaw, SaS, Scaled, Sum
-from .gridded import power_tail_integrals
 
 __all__ = ["AlphaPowerResult", "g_of_P", "alpha_power"]
 
@@ -46,30 +45,36 @@ class AlphaPowerResult:
         return math.isfinite(self.value)
 
 
+# the mass beyond a density's accurate radius r: with s = a ln(n/r),
+# each side's int_r^inf c n^(-1-a) G(n) dn is (c r^-a / a) times
+# int_0^inf e^-s G ds, which the trapezoid rule takes on [0, 40] with
+# the end weights of the alternative extended Simpson rule (Numerical
+# Recipes 4.1.14); these are its nodes s and weights e^-s ds
+_TAIL_S = np.linspace(0.0, 40.0, 1001)
+_TAIL_W = np.exp(-_TAIL_S) * _TAIL_S[1]
+_TAIL_W[:4] *= np.array([17.0, 59.0, 43.0, 49.0]) / 48.0
+_TAIL_W[-4:] *= np.array([49.0, 43.0, 59.0, 17.0]) / 48.0
+
+
 @dataclass(frozen=True)
 class _GRule:
-    """g(P) = -sum_i w_i ln p_ref(y_i / P) + c0 - c1 ln P for one (law,
-    alpha), over nodes y >= 0, so each evaluation is one reference
-    log-density call.  A realized law shares one y and w across alphas.
-
-    c0 - c1 ln P is the analytic correction for the mass beyond the grid
-    (the reference log-density is asymptotically -ln c1_ref +
-    (1 + alpha) ln|x| there)."""
+    """g(P) = -sum_i w_i ln p_ref(y_i / P) for one (law, alpha), over
+    nodes y >= 0, so each evaluation is one reference log-density call.
+    A realized law shares one y and w across alphas; the nodes beyond its
+    accurate radius carry the tail mass, so the reference log-density is
+    read there as everywhere else."""
 
     alpha: float
     y: np.ndarray
     w: np.ndarray
-    c0: float = 0.0
-    c1: float = 0.0
 
     def __call__(self, P: float) -> tuple[float, float]:
         """g(P) and dg/dt at t = ln P: with u = y / P, dg/dt is
-        sum_i w_i u_i (ln p_ref)'(u_i) - c1.  Both sums are numpy's
-        pairwise sums, so the digits do not depend on the thread count."""
+        sum_i w_i u_i (ln p_ref)'(u_i).  Both sums are numpy's pairwise
+        sums, so the digits do not depend on the thread count."""
         u = self.y / P
         lp, dlp = stable.logpdf_sas(self.alpha, stable.reference_gamma(self.alpha), u, slope=True)
-        g = self.c0 - self.c1 * math.log(P) - np.add.reduce(self.w * lp)
-        return float(g), float(np.add.reduce(self.w * u * dlp) - self.c1)
+        return float(-np.add.reduce(self.w * lp)), float(np.add.reduce(self.w * u * dlp))
 
 
 def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
@@ -80,12 +85,15 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
     so g does not depend on their order.  On a realized density the
     weights are the trapezoid weights over the accurate region, folded
     onto |x| when x and -x are both nodes (the grid is centered at 0).
+    Beyond the accurate radius, the tail_rule() mass on each side takes
+    the 1,001 nodes n of the _TAIL_S rule: doubled at n when the density
+    is centered at 0, else at |center + n| and |center - n|.
     Of the N nodes, those with weight below 1e-17 / (700 N) are dropped:
     logpdf is floor-clamped, so |ln p_ref| <= |ln 1e-300| < 700 and the
     dropped terms together move g by less than 1e-17, five orders below
     ROOT_TOL.  Light tails lose most of their nodes (Laplace(1) keeps
-    8,355 of 32,768), heavy tails keep all of theirs.  Nodes, weights
-    and tail_rule() are kept on the density: an alpha adds c0, c1."""
+    8,355 of 32,768), heavy tails keep all of theirs.  The nodes and
+    weights do not depend on alpha and are kept on the density."""
     if isinstance(law, Empirical):
         s = law.samples
         return _GRule(alpha, np.sort(np.abs(s)), np.full(s.size, 1.0 / s.size))
@@ -94,31 +102,36 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
         w = f.values[f.core] * f.h
         w[0] /= 2.0
         w[-1] /= 2.0
+        tail = f.tail_rule()
+        if tail is not None:
+            r, a, c_tail = tail
+            n = r * np.exp(_TAIL_S / a)
+            w_tail = c_tail * r**-a / a * _TAIL_W
         if f.center == 0:
             # x[n // 2 + k] = k h
             w = np.bincount(np.abs(np.arange(f.core.start, f.core.stop) - f.n // 2), weights=w)
             y = f.h * np.arange(w.size)
+            if tail is not None:
+                y, w = np.concatenate([y, n]), np.concatenate([w, 2.0 * w_tail])
         else:
             y = np.abs(f.x[f.core])
+            if tail is not None:
+                y = np.concatenate([y, np.abs(f.center + n), np.abs(f.center - n)])
+                w = np.concatenate([w, w_tail, w_tail])
         keep = np.flatnonzero(w >= 1e-17 / (700.0 * w.size))
         y, w = y[keep], w[keep]
         y.flags.writeable = w.flags.writeable = False
-        f._folded = (y, w, f.tail_rule())
-    y, w, rule = f._folded
-    if rule is None or alpha == 2:
-        return _GRule(alpha, y, w)
-    r, a, c_tail = rule
-    i0, i1 = power_tail_integrals(r, a)
-    c1_ref = stable.tail_law(stable.sas_series(alpha, stable.reference_gamma(alpha))).coefficient
-    c0 = -math.log(c1_ref) * i0 + (1.0 + alpha) * i1
-    c1 = (1.0 + alpha) * i0
-    return _GRule(alpha, y, w, 2.0 * c_tail * c0, 2.0 * c_tail * c1)
+        f._folded = (y, w)
+    return _GRule(alpha, *f._folded)
 
 
 def g_of_P(law: RandomLaw, alpha: float, P: float) -> float:
-    """-E[ln p_ref(X/P)] for the reference law of the given alpha."""
+    """-E[ln p_ref(X/P)] for the reference law of the given alpha: inf
+    at alpha = 2 for a law whose second moment is infinite."""
     if not P > 0:
         raise ValueError("P must be positive")
+    if alpha == 2 and not math.isfinite(law.second_moment()):
+        return math.inf
     return _g_rule(law, alpha)(P)[0]
 
 

@@ -3,7 +3,8 @@
 With noise N ~ S(alpha, gamma_N) and the output power capped at A, the
 capacity is d ln(A / P_alpha(N)) and the optimal input is stable with
 the complementary scale.  The cost function is the expected reference
-log-loss of a shifted noise observation.
+log-loss of a shifted noise observation, which is the alpha-power's
+g(P) of the shifted noise.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import stable
+from .alphapower import g_of_P
+from .density import SaS, Shifted
 
 __all__ = [
     "ChannelSpec",
@@ -69,31 +69,7 @@ def optimal_input_scale(spec: ChannelSpec) -> float:
 
 
 def cost_function(x: float, P: float, alpha: float, gamma_N: float) -> float:
-    """Input cost C(x, P) = -E_N[ln p_ref((x + N) / P)].
-
-    Quadrature over the cached noise density plus analytic handling of
-    the noise tail mass (where the reference log-density is its
-    asymptote).  Theta(x^2) at alpha = 2, Theta(ln|x|) below."""
-    if not P > 0:
-        raise ValueError("P must be positive")
-    gam_ref = stable.reference_gamma(alpha)
-    f = stable.sas_density(alpha, gamma_N)
-    core = float(
-        np.trapezoid(
-            f.values[f.core] * (-stable.logpdf_sas(alpha, gam_ref, (x + f.x[f.core]) / P)),
-            dx=f.h,
-        )
-    )
-    rule = f.tail_rule()
-    if rule is None:
-        return core
-    r, a, c_tail = rule
-
-    def side(sign: float) -> float:
-        # int_r^inf c n^(-1-a) (-ln p_ref((x + sign n)/P)) dn on
-        # log-spaced nodes; logpdf_sas is valid at any argument
-        n = np.geomspace(r, 1e7 * (r + abs(x)), 600)
-        neg_lp = -stable.logpdf_sas(alpha, gam_ref, (x + sign * n) / P)
-        return float(np.trapezoid(c_tail * n ** (-1.0 - a) * neg_lp, n))
-
-    return core + side(1.0) + side(-1.0)
+    """Input cost C(x, P) = -E_N[ln p_ref((x + N) / P)]: the alpha-power's
+    g(P) (alphapower.g_of_P) of the shifted noise x + N, on the same
+    quadrature rule.  Theta(x^2) at alpha = 2, Theta(ln|x|) below."""
+    return g_of_P(Shifted(SaS(alpha, gamma_N), x), alpha, P)

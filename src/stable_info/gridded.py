@@ -172,8 +172,7 @@ class GriddedDensity:
     # (q, |phi|, tail mass) of the spectral J_alpha, kept by
     # jalpha._parseval_weights
     _spectral: tuple | None = field(default=None, repr=False, compare=False)
-    # (y, w, tail_rule()) of the alpha-power's g(P), kept by
-    # alphapower._g_rule
+    # (y, w) of the alpha-power's g(P), kept by alphapower._g_rule
     _folded: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -249,7 +248,7 @@ class GriddedDensity:
 
         With slope=True it returns the pair (ln p, d ln p/dx) at points
         of any shape and order: the spline's derivative inside, the tail
-        law's outside (0 without one; -(1 + exponent)/d where p underflows
+        law's outside (0 without one; -(1 + exponent)/d where p' underflows
         to 0), negated left of the center."""
         if self._spline is None:
             thresh = float(np.max(self.values)) * 1e-14
@@ -288,7 +287,7 @@ class GriddedDensity:
                 p = self.tail.pdf(do, slope)
                 if slope:
                     p, dp = p
-                    tail_slope, zero = dp / p, p == 0
+                    tail_slope, zero = dp / p, dp == 0
                     tail_slope[zero] = -(1.0 + self.tail.exponent) / do[zero]
             out[outside] = np.log(np.maximum(p, _FLOOR))
         # NaN input gets the floor (fmax drops a NaN operand)

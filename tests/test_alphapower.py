@@ -239,6 +239,12 @@ class TestGOfP:
         with pytest.raises(ValueError):
             g_of_P(Gaussian(1.0), 1.5, 0.0)
 
+    @pytest.mark.parametrize("law", [Cauchy(1.0), Sum(Laplace(1.0), SaS(1.2, 0.5))], ids=str)
+    def test_alpha2_without_second_moment_is_infinite(self, law):
+        # E[X^2] is infinite, and so is g = E[X^2 / (2 var P^2)] + const
+        assert g_of_P(law, 2.0, 1.0) == math.inf
+        assert g_of_P(Gaussian(1.0), 2.0, 1.0) < math.inf
+
     def test_sweep_realizes_the_law_once(self, sas_calls, monkeypatch):
         sums = []
         realize_sum = Sum._realize_on
@@ -264,9 +270,27 @@ class TestGOfP:
         assert [c[:2] for c in sas_calls].count((1.5, 1.0)) == 1
 
 
+def tail_nodes(f):
+    """The signed tail nodes x and weights w of a realized density, both
+    sides, unfolded: with the mass-consistent tail c n^(-1-a) beyond r
+    and s = a ln(n/r), each side is (c r^-a / a) int_0^inf e^-s ds, taken
+    by the trapezoid rule on [0, 40] with end weights 17/48, 59/48, 43/48
+    and 49/48."""
+    rule = f.tail_rule()
+    if rule is None:
+        return np.empty(0), np.empty(0)
+    r, a, c = rule
+    s = np.linspace(0.0, 40.0, 1001)
+    ends = np.array([17.0, 59.0, 43.0, 49.0]) / 48.0
+    end_w = np.concatenate([ends, np.ones(s.size - 8), ends[::-1]])
+    n = r * np.exp(s / a)
+    w = c * r**-a / a * (s[1] - s[0]) * end_w * np.exp(-s)
+    return np.concatenate([f.center + n, f.center - n]), np.concatenate([w, w])
+
+
 def unfolded_g(f, alpha, P):
     """g(P) by the trapezoid rule over the whole accurate region of a
-    realized density, every node in place, plus the tail correction."""
+    realized density, every node in place, plus every tail node."""
     gam_ref = stable.reference_gamma(alpha)
     r = f.accurate_radius
     sel = np.abs(f.x) <= r
@@ -276,21 +300,14 @@ def unfolded_g(f, alpha, P):
             dx=f.h,
         )
     )
-    m_side = (1.0 - f.core_mass()) / 2.0
-    if f.tail is None or m_side <= 0:
-        return core
-    a = f.tail.exponent
-    c_eff = m_side * a * r**a
-    c1_ref = stable.tail_law(stable.sas_series(alpha, gam_ref)).coefficient
-    ra = r ** (-a)
-    t1 = (-math.log(c1_ref) - (1.0 + alpha) * math.log(P)) * ra / a
-    t2 = (1.0 + alpha) * (ra * math.log(r) / a + ra / a**2)
-    return core + 2.0 * c_eff * (t1 + t2)
+    x, w = tail_nodes(f)
+    return core - float(np.sum(w * stable.logpdf_sas(alpha, gam_ref, x / P)))
 
 
 # g(P) and dg/dt at P = s/50, s, 50 s (s the law's scale), recorded
 # before each law's fold was kept on its density and the spline was
-# kept from the center out
+# kept from the center out; the Cauchy and SaS keys re-recorded when the
+# mass beyond the accurate radius became nodes of the rule
 G_PINNED = {
     (Gaussian(1.0), 0.4): (
         (6.121413165795884, -1.1412506251141228),
@@ -338,34 +355,34 @@ G_PINNED = {
         (0.9359507132410879, -0.0008667385483960345),
     ),
     (Cauchy(1.0), 0.4): (
-        (6.906591120538847, -1.1822213459597966),
-        (3.272509761616797, -0.5864326339540124),
-        (2.2791958301370125, -0.04693208536042846),
+        (6.906731856454146, -1.1821649697925114),
+        (3.273186048941641, -0.586160628809556),
+        (2.282460926850644, -0.045626628694843754),
     ),
     (Cauchy(1.0), 1.2): (
-        (9.902683270016196, -2.180087575716368),
-        (2.559037667749187, -1.1281287612217359),
-        (1.094861245129291, -0.04026050068257455),
+        (9.902683250655828, -2.180087600008581),
+        (2.5590354699104667, -1.1281313937512785),
+        (1.0946816014087941, -0.04039524882557306),
     ),
     (Cauchy(1.0), 1.8): (
-        (13.302728531777687, -2.837948178805565),
-        (2.935134640110859, -1.624886679014993),
-        (0.9849937190273088, -0.04718477565756112),
+        (13.30272853241119, -2.8379481796876553),
+        (2.9351341759999183, -1.6248875154855285),
+        (0.9843480190264112, -0.04861567659561644),
     ),
     (SaS(1.5, 1.0), 0.4): (
-        (6.647831863590183, -1.1775405185088994),
-        (3.0715011198249185, -0.5537013551327926),
-        (2.247464988215266, -0.01864753700369977),
+        (6.647839134613782, -1.1775376056208626),
+        (3.071536069069313, -0.5536872947458829),
+        (2.247633703607331, -0.018580171179872856),
     ),
     (SaS(1.5, 1.0), 1.2): (
-        (9.476705355494468, -2.1833299575187306),
-        (2.0922512431905216, -1.0676515995620928),
-        (1.0585780576341763, -0.006871732990175002),
+        (9.476705354385986, -2.183329958905218),
+        (2.0922511176565752, -1.0676517499042426),
+        (1.0585680541960312, -0.006878769674356283),
     ),
     (SaS(1.5, 1.0), 1.8): (
-        (12.76702314239408, -2.8360183059550366),
-        (2.199595614142709, -1.543227732484179),
-        (0.9398976394488932, -0.006421111663035957),
+        (12.767023142425705, -2.836018306005587),
+        (2.199595586535481, -1.5432277822419993),
+        (0.9398587279941035, -0.006508334308729576),
     ),
 }
 
@@ -443,8 +460,8 @@ class TestNodeRule:
     @pytest.mark.parametrize("law", LAWS, ids=str)
     @pytest.mark.parametrize("alpha", [0.4, 1.2, 1.8])
     def test_trimmed_rule_matches_every_node(self, law, alpha):
-        # the folded trapezoid rule over the accurate region, no node
-        # dropped, and the rule's own tail correction
+        # the folded trapezoid rule over the accurate region and the
+        # tail nodes unfolded, no node dropped
         f = realize(law)
         idx = np.flatnonzero(np.abs(f.x) <= f.accurate_radius)
         w = f.values[idx] * f.h
@@ -455,16 +472,46 @@ class TestNodeRule:
         rule = _g_rule(law, alpha)
         gam_ref = stable.reference_gamma(alpha)
         scale = law.scale_hint()
+        x_tail, w_tail = tail_nodes(f)
         for P in (scale / 50.0, scale, 50.0 * scale):
             full = -float(np.add.reduce(w * stable.logpdf_sas(alpha, gam_ref, y / P)))
-            full += rule.c0 - rule.c1 * math.log(P)
+            full -= float(np.add.reduce(w_tail * stable.logpdf_sas(alpha, gam_ref, x_tail / P)))
             assert rule(P)[0] == pytest.approx(full, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize(
-        "law,nodes", [(Laplace(1.0), 8355), (Gaussian(1.0), 1651), (Cauchy(1.0), 29492)]
+        "law,nodes", [(Laplace(1.0), 8355), (Gaussian(1.0), 1651), (Cauchy(1.0), 30493)]
     )
     def test_node_counts(self, law, nodes):
         assert _g_rule(law, 1.2).y.size == nodes
+
+
+def cauchy_pdf(delta):
+    return lambda y: 1.0 / (math.pi * (1.0 + (y - delta) ** 2))
+
+
+class TestQuadOracle:
+    """The alpha-power of Cauchy laws against scipy.integrate.quad of
+    their exact density: at the program's root P the error in ln P is
+    (g_quad(P) - h_ref) / (dg/dt), with no oracle root solve."""
+
+    @staticmethod
+    def ln_p_error(law, delta, alpha, log_loss_quad):
+        P = alpha_power(law, alpha).value
+        points = [delta - 1.0, delta, delta + 1.0, -P, 0.0, P]
+        g = log_loss_quad(cauchy_pdf(delta), alpha, P, points)
+        return (g - reference_entropy(alpha)) / _g_rule(law, alpha)(P)[1]
+
+    @pytest.mark.parametrize("alpha, tol", [(0.4, 2e-5), (1.2, 1e-6), (1.8, 1e-6)])
+    def test_cauchy(self, alpha, tol, log_loss_quad):
+        assert abs(self.ln_p_error(Cauchy(1.0), 0.0, alpha, log_loss_quad)) <= tol
+
+    @pytest.mark.parametrize("delta", [0.7, 300.0, 1e3])
+    @pytest.mark.parametrize("alpha", [0.8, 1.5])
+    def test_shifted_cauchy(self, delta, alpha, log_loss_quad):
+        # each tail about its own center: the inward one of a law shifted
+        # past the accurate radius runs through the reference's peak
+        law = Shifted(Cauchy(1.0), delta)
+        assert abs(self.ln_p_error(law, delta, alpha, log_loss_quad)) <= 1e-6
 
 
 class TestEmpiricalRoute:

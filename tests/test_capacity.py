@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from stable_info import stable
 from stable_info.alphapower import alpha_power
 from stable_info.capacity import (
     ChannelSpec,
@@ -78,12 +79,24 @@ class TestOptimalInput:
 class TestCostFunction:
     def test_centered_value_is_reference_entropy(self):
         # C(0, P_alpha(N)) = -E[ln p_ref(N / P_alpha(N))] = g(P) at the
-        # root, which is h(ref)
-        alpha = 1.8
-        p_n = noise_alpha_power(alpha, 1.0)
-        assert cost_function(0.0, p_n, alpha, 1.0) == pytest.approx(
-            reference_entropy(alpha), abs=1e-5
-        )
+        # root, which is h(ref), on the alpha-power's own rule
+        for alpha in (1.2, 1.5, 1.8):
+            p_n = noise_alpha_power(alpha, 1.0)
+            assert abs(cost_function(0.0, p_n, alpha, 1.0) - reference_entropy(alpha)) <= 1e-9
+
+    @pytest.mark.parametrize("x", [300.0, 1e3, 1e4])
+    def test_shifted_noise_matches_quadrature(self, x, log_loss_quad):
+        # the inward tail of the noise shifted past its accurate radius
+        # runs through the reference's peak; a global rule such as
+        # Gauss-Laguerre in ln n does not resolve it
+        alpha = 1.2
+        p = noise_alpha_power(alpha, 1.0)
+
+        def pdf(y):
+            return math.exp(float(stable.logpdf_sas(alpha, 1.0, y - x)))
+
+        want = log_loss_quad(pdf, alpha, p, [-1.0, 0.0, 1.0, x - 1.0, x, x + 1.0])
+        assert cost_function(x, p, alpha, 1.0) == pytest.approx(want, abs=2e-5)
 
     def test_symmetric_in_x(self):
         alpha = 1.5

@@ -258,6 +258,17 @@ class TestGriddedDensity:
         assert np.all(lp[zero] == np.log(1e-300))
         assert dlp[0] == pytest.approx(-(1.0 + alpha) / 1e100, rel=1e-12)
 
+    def test_tail_slope_where_the_slope_underflows(self):
+        # at alpha 0.4 p is still positive at 1e140 to 1e200, but p' =
+        # -b/(x |x|) underflows to 0 there: the slope is not -0.0 but
+        # the leading term's -(1 + alpha)/x
+        f = realize(SaS(0.4, 1.0))
+        x = np.array([1e140, 1e150, 1e200, -1e140, -1e150, -1e200])
+        with np.errstate(over="ignore"):
+            p, dp = f.tail.pdf(x, slope=True)
+        assert np.all(p > 0) and np.all(dp == 0)
+        np.testing.assert_allclose(f.logpdf(x, slope=True)[1], -1.4 / x, rtol=1e-15)
+
     def test_logpdf_beyond_grid_without_tail_is_floored(self):
         f = gaussian_grid()
         assert float(f.logpdf(100.0)) < -600.0
