@@ -45,23 +45,12 @@ class AlphaPowerResult:
         return math.isfinite(self.value)
 
 
-# the mass beyond a density's accurate radius r: with s = a ln(n/r),
-# each side's int_r^inf c n^(-1-a) G(n) dn is (c r^-a / a) times
-# int_0^inf e^-s G ds, which the trapezoid rule takes on [0, 40] with
-# the end weights of the alternative extended Simpson rule (Numerical
-# Recipes 4.1.14); these are its nodes s and weights e^-s ds
-_TAIL_S = np.linspace(0.0, 40.0, 1001)
-_TAIL_W = np.exp(-_TAIL_S) * _TAIL_S[1]
-_TAIL_W[:4] *= np.array([17.0, 59.0, 43.0, 49.0]) / 48.0
-_TAIL_W[-4:] *= np.array([49.0, 43.0, 59.0, 17.0]) / 48.0
-
-
 @dataclass(frozen=True)
 class _GRule:
     """g(P) = -sum_i w_i ln p_ref(y_i / P) for one (law, alpha), over
     nodes y >= 0, so each evaluation is one reference log-density call.
     A realized law shares one y and w across alphas; the nodes beyond its
-    accurate radius carry the tail mass, so the reference log-density is
+    last core point carry the tail mass, so the reference log-density is
     read there as everywhere else."""
 
     alpha: float
@@ -85,9 +74,9 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
     so g does not depend on their order.  On a realized density the
     weights are the trapezoid weights over the accurate region, folded
     onto |x| when x and -x are both nodes (the grid is centered at 0).
-    Beyond the accurate radius, the tail_rule() mass on each side takes
-    the 1,001 nodes n of the _TAIL_S rule: doubled at n when the density
-    is centered at 0, else at |center + n| and |center - n|.
+    Beyond the last core point, each side's tail takes the 1,001 nodes n
+    of GriddedDensity.tail_nodes: doubled at n when the density is
+    centered at 0, else at |center + n| and |center - n|.
     Of the N nodes, those with weight below 1e-17 / (700 N) are dropped:
     logpdf is floor-clamped, so |ln p_ref| <= |ln 1e-300| < 700 and the
     dropped terms together move g by less than 1e-17, five orders below
@@ -102,22 +91,15 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
         w = f.values[f.core] * f.h
         w[0] /= 2.0
         w[-1] /= 2.0
-        tail = f.tail_rule()
-        if tail is not None:
-            r, a, c_tail = tail
-            n = r * np.exp(_TAIL_S / a)
-            w_tail = c_tail * r**-a / a * _TAIL_W
+        n, w_tail, _ = f.tail_nodes
         if f.center == 0:
             # x[n // 2 + k] = k h
             w = np.bincount(np.abs(np.arange(f.core.start, f.core.stop) - f.n // 2), weights=w)
-            y = f.h * np.arange(w.size)
-            if tail is not None:
-                y, w = np.concatenate([y, n]), np.concatenate([w, 2.0 * w_tail])
+            y = np.concatenate([f.h * np.arange(w.size), n])
+            w = np.concatenate([w, 2.0 * w_tail])
         else:
-            y = np.abs(f.x[f.core])
-            if tail is not None:
-                y = np.concatenate([y, np.abs(f.center + n), np.abs(f.center - n)])
-                w = np.concatenate([w, w_tail, w_tail])
+            y = np.concatenate([np.abs(f.x[f.core]), np.abs(f.center + n), np.abs(f.center - n)])
+            w = np.concatenate([w, w_tail, w_tail])
         keep = np.flatnonzero(w >= 1e-17 / (700.0 * w.size))
         y, w = y[keep], w[keep]
         y.flags.writeable = w.flags.writeable = False

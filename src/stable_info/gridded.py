@@ -2,27 +2,62 @@
 
 A GriddedDensity is a uniform grid of density values, symmetric about
 its center, plus an optional power-law tail descriptor.  Heavy-tailed
-laws cannot put all their mass on any finite grid, so the normalization
-convention is: grid trapezoid mass plus analytic tail mass equals 1.
-Laws without a tail descriptor carry all their mass on the grid.
+laws cannot put all their mass on any finite grid.  Every quadrature
+over such a density is the trapezoid rule over its core, up to the last
+core point x_last, plus one node rule (tail_nodes) that integrates the
+full tail series on each side beyond x_last; the normalization
+convention is that the two masses sum to 1.  Laws without a tail
+descriptor carry all their mass on the grid.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import solve, solve_banded
 
-__all__ = ["GridSpec", "TailLaw", "GriddedDensity", "power_tail_integrals"]
+__all__ = ["GridSpec", "TailLaw", "GriddedDensity"]
 
 # fraction of the half-extent, about the center, treated as
 # grid-accurate; beyond it the tail descriptor takes over
 ACCURATE_FRACTION = 0.9
 
 _FLOOR = 1e-300
+
+# the tail beyond x_last: with n = x_last e^(s/a), each side's
+# int p(n) G(n) dn is int_0^inf p(n) (n/a) G(n) ds, whose leading term
+# decays like e^-s; the trapezoid rule takes it on [0, 40] with the end
+# weights of the alternative extended Simpson rule (Numerical Recipes
+# 4.1.14).  These are its nodes s and weights ds
+_TAIL_S = np.linspace(0.0, 40.0, 1001)
+_TAIL_W = np.full(_TAIL_S.size, _TAIL_S[1])
+_TAIL_W[:4] *= np.array([17.0, 59.0, 43.0, 49.0]) / 48.0
+_TAIL_W[-4:] *= np.array([49.0, 43.0, 59.0, 17.0]) / 48.0
+
+_NO_TAIL = (np.empty(0), np.empty(0), np.empty(0))
+
+
+@lru_cache(maxsize=64)
+def _tail_nodes(tail: TailLaw, x_last: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, w, ln p_tail(n)) of a tail law beyond x_last: with
+    n = x_last e^(s/a) on the _TAIL_S grid, w = p_tail(n) (n/a) times the
+    _TAIL_W weights, so sum w G(n) integrates the full TailLaw series
+    against G beyond x_last.  Cached by (tail, x_last), so a density,
+    its normalized copy and its shifts share one evaluation of the
+    series; read-only."""
+    a, c = tail.exponent, tail.coefficient
+    n = x_last * np.exp(_TAIL_S / a)
+    # a term below 1e-17 of the leading one at x_last, and falling faster,
+    # stays below it at every node: a sum's series loses half its terms
+    kept = [(ek, ck) for ek, ck in tail.extra if ek < a or abs(ck) > 1e-17 * c * x_last ** (ek - a)]
+    p = TailLaw(a, c, tuple(kept)).pdf(n)
+    rule = (n, p * n / a * _TAIL_W, np.log(p))
+    for v in rule:
+        v.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True)
@@ -68,7 +103,7 @@ class TailLaw:
 
     @cached_property
     def _horner(self) -> np.ndarray | None:
-        """Rows (a_k, (1 + k e) a_k), k = 0 .. K, when every exponent is a
+        """Rows (a_k, (k - 1) e a_k), k = 0 .. K, when every exponent is a
         whole multiple k e of the leading one e (a stable tail), else None."""
         e = self.exponent
         terms = ((e, self.coefficient),) + self.extra
@@ -77,40 +112,41 @@ class TailLaw:
             return None
         rows = np.zeros((2, max(k) + 1))
         for kk, (_, ck) in zip(k, terms):
-            rows[:, kk] += ck, (1.0 + kk * e) * ck
+            rows[:, kk] += ck, (kk - 1) * e * ck
         return rows
 
     def pdf(self, x, slope=False):
-        """p(x) = sum_k c_k |x|^(-1-e_k), and with slope the pair (p, dp/dx).
+        """p(x) = sum_k c_k |x|^(-1-e_k), and with slope the pair
+        (p, d ln p/dx).
 
-        With t = |x|, p = A/t and dp/dx = -B/(x t) for A = sum_k c_k t^-e_k
-        and B = sum_k (1 + e_k) c_k t^-e_k.  For a stable tail, A and B
-        are polynomials in v = t^-e, which Horner's rule gives from one
-        power; any other series takes one exp per term."""
+        With t = |x|, p = A/t and d ln p/dx = -(1 + e + D/A)/x for
+        A = sum_k c_k t^-e_k and D = sum_k (e_k - e) c_k t^-e_k, e the
+        leading exponent.  For a stable tail, A = v A' and D = v D' with
+        A' and D' polynomials in v = t^-e, which Horner's rule gives from
+        one power, and D/A is D'/A'; any other series takes one exp per
+        term.  Where the higher terms vanish, or A underflows to 0, the
+        slope is the leading term's -(1 + e)/x exactly."""
         t = np.abs(x)
-        a, b = np.zeros_like(t), np.zeros_like(t)
+        e = self.exponent
+        a, d = np.zeros_like(t), np.zeros_like(t)
         if self._horner is None:
             lx = np.log(t)
-            for ek, ck in ((self.exponent, self.coefficient),) + self.extra:
+            for ek, ck in ((e, self.coefficient),) + self.extra:
                 term = ck * np.exp(-ek * lx)
-                a, b = a + term, b + (1.0 + ek) * term
+                a, d = a + term, d + (ek - e) * term
+            p = a / t
         else:
-            v = t ** -self.exponent
-            for ak, bk in self._horner[:, :0:-1].T:
-                a += ak
+            v = t**-e
+            for ak, dk in self._horner[:, :0:-1].T:
                 a *= v
+                a += ak
                 if slope:
-                    b += bk
-                    b *= v
-        p = a / t
-        return (p, -b / (x * t)) if slope else p
-
-    def mass_beyond(self, r: float) -> float:
-        """Two-sided tail mass outside [-r, r]."""
-        m = self.coefficient * r ** (-self.exponent) / self.exponent
-        for ek, ck in self.extra:
-            m += ck * r ** (-ek) / ek
-        return 2.0 * m
+                    d *= v
+                    d += dk
+            p = a * v / t
+        if not slope:
+            return p
+        return p, -(1.0 + e + np.divide(d, a, out=np.zeros_like(t), where=a != 0)) / x
 
 
 # knots x and coefficient rows c[0..3] (cubic first) of a spline
@@ -216,16 +252,29 @@ class GriddedDensity:
     def core_mass(self) -> float:
         return float(np.trapezoid(self.values[self.core], dx=self.h))
 
+    @property
+    def tail_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n, w, ln p_tail(n)): the node rule of each side's tail beyond
+        the last core point, at distances n from the center (_tail_nodes).
+        Empty without a tail law."""
+        if self.tail is None:
+            return _NO_TAIL
+        return _tail_nodes(self.tail, (self.core.stop - 1 - self.n // 2) * self.h)
+
+    def tail_mass(self) -> float:
+        """Two-sided mass of the tail series beyond the last core point."""
+        return 2.0 * float(np.add.reduce(self.tail_nodes[1]))
+
     def total_mass(self) -> float:
         if self.tail is None:
             return self.grid_mass()
-        return self.core_mass() + self.tail.mass_beyond(self.accurate_radius)
+        return self.core_mass() + self.tail_mass()
 
     def normalize(self) -> "GriddedDensity":
-        """Rescale grid values so total mass (grid + tail) is 1."""
+        """Rescale grid values so total mass (core + tail) is 1."""
         if self.tail is None:
             return GriddedDensity(self.x0, self.h, self.values / self.grid_mass())
-        target = 1.0 - self.tail.mass_beyond(self.accurate_radius)
+        target = 1.0 - self.tail_mass()
         if target <= 0:
             raise ValueError("tail mass exceeds 1; grid too narrow")
         return GriddedDensity(
@@ -248,8 +297,7 @@ class GriddedDensity:
 
         With slope=True it returns the pair (ln p, d ln p/dx) at points
         of any shape and order: the spline's derivative inside, the tail
-        law's outside (0 without one; -(1 + exponent)/d where p' underflows
-        to 0), negated left of the center."""
+        law's outside (0 without one), negated left of the center."""
         if self._spline is None:
             thresh = float(np.max(self.values)) * 1e-14
             i = int(np.argmax(self.values))
@@ -282,13 +330,9 @@ class GriddedDensity:
         if self.tail is None:
             out[outside] = np.log(_FLOOR)
         else:
-            do = d[outside]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                p = self.tail.pdf(do, slope)
-                if slope:
-                    p, dp = p
-                    tail_slope, zero = dp / p, dp == 0
-                    tail_slope[zero] = -(1.0 + self.tail.exponent) / do[zero]
+            p = self.tail.pdf(d[outside], slope)
+            if slope:
+                p, tail_slope = p
             out[outside] = np.log(np.maximum(p, _FLOOR))
         # NaN input gets the floor (fmax drops a NaN operand)
         np.fmax(out, np.log(_FLOOR), out=out)
@@ -304,40 +348,12 @@ class GriddedDensity:
     def pdf(self, xq) -> np.ndarray:
         return np.exp(self.logpdf(xq))
 
-    def tail_rule(self) -> tuple[float, float, float] | None:
-        """(r, a, c_eff) of the mass-consistent tail beyond r, the
-        accurate radius: c_eff x^(-1-a) on each side carries exactly the
-        mass missing from the core, which keeps tail corrections
-        consistent when the grid normalization and the asymptotic
-        constant disagree slightly.  None without a tail law or when no
-        mass is missing."""
-        if self.tail is None:
-            return None
-        r = self.accurate_radius
-        m_side = (1.0 - self.core_mass()) / 2.0
-        if m_side <= 0:
-            return None
-        a = self.tail.exponent
-        return r, a, m_side * a * r**a
-
     def entropy(self) -> float:
-        """Differential entropy in nats.
-
-        Trapezoid quadrature of -p ln p over the accurate region, plus
-        the closed-form entropy of the mass-consistent tail."""
+        """Differential entropy in nats: the trapezoid rule of -p ln p
+        over the core, plus -2 sum w ln p_tail(n) over the tail nodes
+        (none without a tail law)."""
         p = np.clip(self.values[self.core], _FLOOR, None)
         core = -float(np.trapezoid(p * np.log(p), dx=self.h))
-        rule = self.tail_rule()
-        if rule is None:
-            return core
-        r, a, c_tail = rule
-        # -2 * int_r^inf c x^(-1-a) ln(c x^(-1-a)) dx
-        i0, i1 = power_tail_integrals(r, a)
-        tail_ent = (1.0 + a) * c_tail * i1 - np.log(c_tail) * c_tail * i0
-        return core + 2.0 * tail_ent
+        _, w, log_p = self.tail_nodes
+        return core - 2.0 * float(np.add.reduce(w * log_p))
 
-
-def power_tail_integrals(r: float, a: float) -> tuple[float, float]:
-    """int_r^inf x^(-1-a) dx and int_r^inf x^(-1-a) ln x dx in closed form."""
-    ra = r ** (-a)
-    return ra / a, ra * np.log(r) / a + ra / a**2

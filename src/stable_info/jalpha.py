@@ -67,8 +67,8 @@ def _parseval_weights(f: GriddedDensity) -> tuple[np.ndarray, np.ndarray, float]
     where phi is rfft(ifftshift(values)) h, L the rfft of the
     trapezoid-weighted core log-density (zero off the core, same layout)
     and c_k = 2, except c_0 = 1 and, for even n, c_(n/2) = 1 (the
-    Nyquist bin, which has no mirror).  The tail mass is the two-sided
-    mass of the mass-consistent tail beyond the core, 1 - core_mass()."""
+    Nyquist bin, which has no mirror).  The tail mass is
+    GriddedDensity.tail_mass(), that of the tail series beyond the core."""
     if f._spectral is None:
         n, core = f.n, f.core
         phi = np.fft.rfft(np.fft.ifftshift(f.values)) * f.h
@@ -81,8 +81,7 @@ def _parseval_weights(f: GriddedDensity) -> tuple[np.ndarray, np.ndarray, float]
         # the weighted sum in jalpha_spectral
         q = (lhat.real * phi.real + lhat.imag * phi.imag) / n
         q[1:(n + 1) // 2] *= 2.0
-        tail_mass = 0.0 if f.tail_rule() is None else 1.0 - f.core_mass()
-        f._spectral = (q, np.abs(phi), tail_mass)
+        f._spectral = (q, np.abs(phi), f.tail_mass())
     return f._spectral
 
 

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never reads."""
+"""No module of the package imports a name it never reads, or exports
+in __all__ a name it never binds."""
 
 import ast
 from pathlib import Path
@@ -22,9 +23,35 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
+def unbound_exports(source: str) -> list[str]:
+    """The names in the module-level __all__ of source that no
+    module-level statement binds (def, class, import or assignment)."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names and isinstance(node, ast.Assign):
+                exported = list(ast.literal_eval(node.value))
+    return [name for name in exported if name not in bound]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text()) == []
 
 
 def test_unused_imports_are_found():
@@ -40,3 +67,19 @@ def test_unused_imports_are_found():
         "    return math.log(x) + os.path.sep + SaS(1.5, x)\n"
     )
     assert unused_imports(source) == ["np", "stable", "Shifted"]
+
+
+def test_unbound_exports_are_found():
+    source = (
+        "import math\n"
+        "from .gridded import TailLaw as Tail\n"
+        '__all__ = ["f", "Box", "LIMIT", "pair_a", "Tail", "math", "gone", "inner"]\n'
+        "LIMIT: int = 3\n"
+        "pair_a, pair_b = 1, 2\n"
+        "def f(x):\n"
+        "    inner = x\n"
+        "    return inner\n"
+        "class Box:\n"
+        "    pass\n"
+    )
+    assert unbound_exports(source) == ["gone", "inner"]

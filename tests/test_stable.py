@@ -286,7 +286,9 @@ class TestSampling:
         f = sas_density(alpha, 1.0)
         xs = f.x
         cdf_vals = np.cumsum(f.values) * f.h
-        cdf_vals += f.tail.mass_beyond(f.half_extent) / 2.0 if f.tail else 0.0
+        # one side's tail series mass beyond the grid, sum_k c_k L^(-e_k) / e_k
+        L, t = f.half_extent, f.tail
+        cdf_vals += sum(c * L**-e / e for e, c in ((t.exponent, t.coefficient),) + t.extra)
         cdf_vals = np.clip(cdf_vals, 0.0, 1.0)
         s = sample_sas(alpha, 1.0, 20_000, seed=3)
         s = s[np.abs(s) < f.half_extent * 0.9]
