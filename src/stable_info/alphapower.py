@@ -66,45 +66,67 @@ class _GRule:
         return float(-np.add.reduce(self.w * lp)), float(np.add.reduce(self.w * u * dlp))
 
 
+def _handoff(f, law: RandomLaw) -> int:
+    """k of the handoff radius R = k h of a realized density: the least
+    grid radius with every core value from R out within 1e-10 (relative)
+    of the tail series, and R >= |center| + 40 scales, so the origin,
+    where every reference peaks, stays on the trapezoid; the last core
+    point's k when no radius inside it does."""
+    c, h, k_last = f.n // 2, f.h, f.core.stop - 1 - f.n // 2
+    bound = abs(f.center) + 40.0 * law.scale_hint()
+    k = np.arange(int(bound / h), k_last + 1)
+    k = k[k * h >= bound]
+    if f.tail is None or k.size == 0:
+        return k_last
+    misfit = np.abs(f.values[[c - k, c + k]] / f.tail.pdf(k * h) - 1.0)
+    bad = k[~np.all(misfit <= 1e-10, axis=0)]
+    return min(int(bad[-1]) + 1, k_last) if bad.size else int(k[0])
+
+
 def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
     """The quadrature rule of g for a law.
 
     p_ref is even, so x and -x share the node |x| (for any law, even or
     not): for samples every weight is 1/N and the nodes |x| are sorted,
     so g does not depend on their order.  On a realized density the
-    weights are the trapezoid weights over the accurate region, folded
-    onto |x| when x and -x are both nodes (the grid is centered at 0).
-    Beyond the last core point, each side's tail takes the 1,001 nodes n
-    of GriddedDensity.tail_nodes: doubled at n when the density is
-    centered at 0, else at |center + n| and |center - n|.
+    weights are the trapezoid weights out to the handoff radius R
+    (_handoff), folded onto |x| when the grid is centered at 0, and
+    beyond R each side's tail takes the 1,001 nodes n of tail_nodes(R),
+    doubled at n when the density is centered at 0, else at |center + n|
+    and |center - n|; the first, n = R, is the trapezoid's end node when
+    R is inside the last core point, and takes both weights.
     Of the N nodes, those with weight below 1e-17 / (700 N) are dropped:
     logpdf is floor-clamped, so |ln p_ref| <= |ln 1e-300| < 700 and the
     dropped terms together move g by less than 1e-17, five orders below
-    ROOT_TOL.  Light tails lose most of their nodes (Laplace(1) keeps
-    8,355 of 32,768), heavy tails keep all of theirs.  The nodes and
-    weights do not depend on alpha and are kept on the density."""
+    ROOT_TOL.  Laplace(1) keeps 8,355 nodes, Cauchy(1) 7,555, S(0.4, 1)
+    (no handoff) 30,493.  Nodes, weights and R, free of alpha, are kept
+    on the density."""
     if isinstance(law, Empirical):
         s = law.samples
         return _GRule(alpha, np.sort(np.abs(s)), np.full(s.size, 1.0 / s.size))
     f = dens.realize(law)
     if f._folded is None:
-        w = f.values[f.core] * f.h
-        w[0] /= 2.0
-        w[-1] /= 2.0
-        n, w_tail, _ = f.tail_nodes
+        c, k = f.n // 2, _handoff(f, law)
+        core = slice(c - k, c + k + 1)
+        w = f.values[core] * f.h
+        w[[0, -1]] /= 2.0
+        n, w_tail, _ = f.tail_nodes(k * f.h)
+        if k < f.core.stop - 1 - c:
+            w[[0, -1]] += w_tail[0]
+            n, w_tail = n[1:], w_tail[1:]
         if f.center == 0:
-            # x[n // 2 + k] = k h
-            w = np.bincount(np.abs(np.arange(f.core.start, f.core.stop) - f.n // 2), weights=w)
+            # x[n // 2 + j] = j h
+            w = np.bincount(np.abs(np.arange(-k, k + 1)), weights=w)
             y = np.concatenate([f.h * np.arange(w.size), n])
             w = np.concatenate([w, 2.0 * w_tail])
         else:
-            y = np.concatenate([np.abs(f.x[f.core]), np.abs(f.center + n), np.abs(f.center - n)])
+            y = np.concatenate([np.abs(f.x[core]), np.abs(f.center + n), np.abs(f.center - n)])
             w = np.concatenate([w, w_tail, w_tail])
         keep = np.flatnonzero(w >= 1e-17 / (700.0 * w.size))
         y, w = y[keep], w[keep]
         y.flags.writeable = w.flags.writeable = False
-        f._folded = (y, w)
-    return _GRule(alpha, *f._folded)
+        f._folded = (y, w, k * f.h)
+    return _GRule(alpha, *f._folded[:2])
 
 
 def g_of_P(law: RandomLaw, alpha: float, P: float) -> float:

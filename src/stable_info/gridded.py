@@ -5,9 +5,10 @@ its center, plus an optional power-law tail descriptor.  Heavy-tailed
 laws cannot put all their mass on any finite grid.  Every quadrature
 over such a density is the trapezoid rule over its core, up to the last
 core point x_last, plus one node rule (tail_nodes) that integrates the
-full tail series on each side beyond x_last; the normalization
-convention is that the two masses sum to 1.  Laws without a tail
-descriptor carry all their mass on the grid.
+full tail series on each side beyond x_last (or beyond any radius: the
+alpha-power's starts where the grid matches the series); the masses
+sum to 1.  Laws without a tail descriptor carry all their mass on the
+grid.
 """
 
 from __future__ import annotations
@@ -241,10 +242,12 @@ class GriddedDensity:
 
     @cached_property
     def core(self) -> slice:
-        """Grid points within accurate_radius of the center, by index."""
-        off = np.abs(np.arange(self.n) - self.n // 2) * self.h
-        k = np.flatnonzero(off <= self.accurate_radius)
-        return slice(int(k[0]), int(k[-1]) + 1)
+        """Indices n // 2 -+ k of the points with float(k) h <= accurate_radius."""
+        c, h, r = self.n // 2, self.h, self.accurate_radius
+        k = int(r / h) + 1
+        while float(k) * h > r:
+            k -= 1
+        return slice(c - k, min(self.n, c + k + 1))
 
     def grid_mass(self) -> float:
         return float(np.trapezoid(self.values, dx=self.h))
@@ -252,18 +255,18 @@ class GriddedDensity:
     def core_mass(self) -> float:
         return float(np.trapezoid(self.values[self.core], dx=self.h))
 
-    @property
-    def tail_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def tail_nodes(self, radius: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(n, w, ln p_tail(n)): the node rule of each side's tail beyond
-        the last core point, at distances n from the center (_tail_nodes).
-        Empty without a tail law."""
+        radius, by default the last core point x_last, at distances n
+        from the center (_tail_nodes).  Empty without a tail law."""
         if self.tail is None:
             return _NO_TAIL
-        return _tail_nodes(self.tail, (self.core.stop - 1 - self.n // 2) * self.h)
+        x_last = (self.core.stop - 1 - self.n // 2) * self.h
+        return _tail_nodes(self.tail, x_last if radius is None else radius)
 
     def tail_mass(self) -> float:
         """Two-sided mass of the tail series beyond the last core point."""
-        return 2.0 * float(np.add.reduce(self.tail_nodes[1]))
+        return 2.0 * float(np.add.reduce(self.tail_nodes()[1]))
 
     def total_mass(self) -> float:
         if self.tail is None:
@@ -354,6 +357,6 @@ class GriddedDensity:
         (none without a tail law)."""
         p = np.clip(self.values[self.core], _FLOOR, None)
         core = -float(np.trapezoid(p * np.log(p), dx=self.h))
-        _, w, log_p = self.tail_nodes
+        _, w, log_p = self.tail_nodes()
         return core - 2.0 * float(np.add.reduce(w * log_p))
 

@@ -270,39 +270,61 @@ class TestGOfP:
         assert [c[:2] for c in sas_calls].count((1.5, 1.0)) == 1
 
 
-def tail_nodes(f):
-    """The signed tail nodes x and weights w of a realized density, both
-    sides, unfolded, from its TailLaw series sum_k c_k n^(-1-e_k): with
-    x_last the last core point and s = a ln(n/x_last), each side is
-    int_0^inf p(n) (n/a) ds, taken by the trapezoid rule on [0, 40] with
-    end weights 17/48, 59/48, 43/48 and 49/48."""
+def last_core_point(f):
+    """The largest distance from the center of a grid point within the
+    accurate radius, by a search over the grid."""
+    d = np.abs(f.x - f.center)
+    return float(np.max(d[d <= f.accurate_radius]))
+
+
+def handoff(f, law):
+    """The handoff radius of a realized density, by a search over its
+    grid: the least distance d from the center of a core point with
+    d >= |center| + 40 scales and every core value from d out within
+    1e-10 (relative) of the tail series; the last core point when no
+    such point is inside it."""
+    d = np.abs(f.x - f.center)
+    core = d <= f.accurate_radius
+    if f.tail is None:
+        return last_core_point(f)
+    far = core & (d >= abs(f.center) + 40.0 * law.scale_hint())
+    misfit = np.abs(f.values / f.tail.pdf(np.where(far, d, 1.0)) - 1.0)
+    bad = far & ~(misfit <= 1e-10)
+    ok = far & (d > np.max(d[bad], initial=-1.0))
+    return float(np.min(d[ok])) if ok.any() else last_core_point(f)
+
+
+def tail_nodes(f, r):
+    """The signed tail nodes x and weights w of a realized density
+    beyond the distance r from its center, both sides, unfolded, from its
+    TailLaw series sum_k c_k n^(-1-e_k): with s = a ln(n/r), each side
+    is int_0^inf p(n) (n/a) ds, taken by the trapezoid rule on [0, 40]
+    with end weights 17/48, 59/48, 43/48 and 49/48."""
     if f.tail is None:
         return np.empty(0), np.empty(0)
-    d = np.abs(f.x - f.center)
-    x_last = np.max(d[d <= f.accurate_radius])
     a = f.tail.exponent
     s = np.linspace(0.0, 40.0, 1001)
     ends = np.array([17.0, 59.0, 43.0, 49.0]) / 48.0
     end_w = np.concatenate([ends, np.ones(s.size - 8), ends[::-1]])
-    n = x_last * np.exp(s / a)
+    n = r * np.exp(s / a)
     p = sum(c * n ** (-1.0 - e) for e, c in ((a, f.tail.coefficient),) + f.tail.extra)
     w = p * n / a * (s[1] - s[0]) * end_w
     return np.concatenate([f.center + n, f.center - n]), np.concatenate([w, w])
 
 
-def unfolded_g(f, alpha, P):
-    """g(P) by the trapezoid rule over the whole accurate region of a
-    realized density, every node in place, plus every tail node."""
+def unfolded_g(f, alpha, P, r):
+    """g(P) by the trapezoid rule over the grid points within r of the
+    center of a realized density, every node in place, plus every tail
+    node beyond r."""
     gam_ref = stable.reference_gamma(alpha)
-    r = f.accurate_radius
-    sel = np.abs(f.x) <= r
+    sel = np.abs(f.x - f.center) <= r
     core = float(
         np.trapezoid(
             f.values[sel] * (-stable.logpdf_sas(alpha, gam_ref, f.x[sel] / P)),
             dx=f.h,
         )
     )
-    x, w = tail_nodes(f)
+    x, w = tail_nodes(f, r)
     return core - float(np.sum(w * stable.logpdf_sas(alpha, gam_ref, x / P)))
 
 
@@ -311,7 +333,9 @@ def unfolded_g(f, alpha, P):
 # kept from the center out; the Cauchy and SaS keys re-recorded when the
 # mass beyond the accurate radius became nodes of the rule, and every key
 # when the tail rule began at the last core point with the full tail
-# series (the reference densities moved too)
+# series (the reference densities moved too), and the Cauchy and SaS
+# keys when the core trapezoid began to hand off to the tail rule at 40
+# scales
 G_PINNED = {
     (Gaussian(1.0), 0.4): (
         (6.12141344749131, -1.1412506251141357),
@@ -359,34 +383,34 @@ G_PINNED = {
         (0.9359507134365009, -0.0008667385483960167),
     ),
     (Cauchy(1.0), 0.4): (
-        (6.9067323295592455, -1.1821649745718747),
-        (3.273186486618125, -0.5861606464347542),
-        (2.2824612750508164, -0.0456266520754785),
+        (6.9067323301669, -1.1821649747236131),
+        (3.2731864867503284, -0.5861606465051483),
+        (2.2824612752828184, -0.04562665261890231),
     ),
     (Cauchy(1.0), 1.2): (
-        (9.902683585437194, -2.18008760037081),
-        (2.559035776415116, -1.128131419514216),
-        (1.094681734843899, -0.040395301175699186),
+        (9.902683586295984, -2.180087600643047),
+        (2.559035776190536, -1.1281314198204948),
+        (1.0946817351994431, -0.04039530169389155),
     ),
     (Cauchy(1.0), 1.8): (
-        (13.302728950977453, -2.837948178621925),
-        (2.93513458105723, -1.6248875436924382),
-        (0.9843481988613133, -0.04861576352489536),
+        (13.302728952164728, -2.8379481789681624),
+        (2.9351345808587728, -1.6248875440500994),
+        (0.9843481994742266, -0.048615772417983816),
     ),
     (SaS(1.5, 1.0), 0.4): (
-        (6.6478393771840745, -1.177537605727699),
-        (3.071536311503634, -0.5536872948852475),
-        (2.247633950338718, -0.01858016751472495),
+        (6.647839377267458, -1.1775376057436135),
+        (3.0715363115333805, -0.5536872948953316),
+        (2.247633950359888, -0.018580167457728867),
     ),
     (SaS(1.5, 1.0), 1.2): (
-        (9.47670530223329, -2.1833299589282045),
-        (2.0922510643111583, -1.0676517518383772),
-        (1.0585679865195394, -0.006878773658003274),
+        (9.476705302357091, -2.1833299589556203),
+        (2.092251064326726, -1.067651751867693),
+        (1.0585679865365776, -0.006878773660078195),
     ),
     (SaS(1.5, 1.0), 1.8): (
-        (12.76702306604585, -2.8360183059384076),
-        (2.1995955095508792, -1.5432277843667213),
-        (0.939858623081819, -0.006508367119621959),
+        (12.767023066212904, -2.836018305973287),
+        (2.199595509580034, -1.5432277844052407),
+        (0.9398586231087541, -0.006508367221150552),
     ),
 }
 
@@ -394,15 +418,16 @@ G_PINNED = {
 class TestFoldedRule:
     @pytest.mark.parametrize(
         "law",
-        [Shifted(Laplace(1.0), 0.7), Sum(Laplace(1.0), SaS(1.2, 0.5))],
-        ids=["shifted-laplace", "laplace+sas"],
+        [Shifted(Laplace(1.0), 0.7), Sum(Laplace(1.0), SaS(1.2, 0.5)), Shifted(Cauchy(1.0), 0.7)],
+        ids=["shifted-laplace", "laplace+sas", "shifted-cauchy"],
     )
     def test_matches_unfolded_trapezoid(self, law):
         f = realize(law)
+        r = handoff(f, law)
         for alpha in (0.6, 1.2, 1.7):
             for P in (0.1, 1.0, 7.0):
                 assert g_of_P(law, alpha, P) == pytest.approx(
-                    unfolded_g(f, alpha, P), rel=1e-12
+                    unfolded_g(f, alpha, P, r), rel=1e-12
                 )
 
     @pytest.mark.parametrize(
@@ -464,10 +489,11 @@ class TestNodeRule:
     @pytest.mark.parametrize("law", LAWS, ids=str)
     @pytest.mark.parametrize("alpha", [0.4, 1.2, 1.8])
     def test_trimmed_rule_matches_every_node(self, law, alpha):
-        # the folded trapezoid rule over the accurate region and the
-        # tail nodes unfolded, no node dropped
+        # the folded trapezoid rule out to the handoff radius and the
+        # tail nodes beyond it unfolded, no node dropped or merged
         f = realize(law)
-        idx = np.flatnonzero(np.abs(f.x) <= f.accurate_radius)
+        r = handoff(f, law)
+        idx = np.flatnonzero(np.abs(f.x) <= r)
         w = f.values[idx] * f.h
         w[0] /= 2.0
         w[-1] /= 2.0
@@ -476,17 +502,61 @@ class TestNodeRule:
         rule = _g_rule(law, alpha)
         gam_ref = stable.reference_gamma(alpha)
         scale = law.scale_hint()
-        x_tail, w_tail = tail_nodes(f)
+        x_tail, w_tail = tail_nodes(f, r)
         for P in (scale / 50.0, scale, 50.0 * scale):
             full = -float(np.add.reduce(w * stable.logpdf_sas(alpha, gam_ref, y / P)))
             full -= float(np.add.reduce(w_tail * stable.logpdf_sas(alpha, gam_ref, x_tail / P)))
             assert rule(P)[0] == pytest.approx(full, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize(
-        "law,nodes", [(Laplace(1.0), 8355), (Gaussian(1.0), 1651), (Cauchy(1.0), 30493)]
+        "law,nodes",
+        [
+            (Laplace(1.0), 8355),
+            (Gaussian(1.0), 1651),
+            (Cauchy(1.0), 7555),
+            (SaS(1.5, 1.0), 7555),
+            # no handoff: the grid never matches the series to 1e-10, or
+            # 40 scales beyond the origin is past the last core point
+            (SaS(0.4, 1.0), 30493),
+            (Shifted(Cauchy(1.0), 300.0), 60985),
+        ],
     )
     def test_node_counts(self, law, nodes):
         assert _g_rule(law, 1.2).y.size == nodes
+
+
+SUM = Sum(Laplace(1.0), SaS(1.2, 0.5))
+
+
+class TestHandoff:
+    @pytest.mark.parametrize(
+        "law",
+        TestNodeRule.LAWS + [SaS(0.4, 1.0), Shifted(Cauchy(1.0), 0.7), Shifted(Cauchy(1.0), 300.0)],
+        ids=str,
+    )
+    def test_kept_radius_is_the_search(self, law):
+        _g_rule(law, 1.2)
+        f = realize(law)
+        assert f._folded[2] == handoff(f, law)
+
+    def test_sum_hands_off_past_46_scales(self):
+        # its grid matches the series to 1e-10 only from 46 scales, which
+        # is beyond the 40 scales kept for the origin
+        _g_rule(SUM, 1.2)
+        assert realize(SUM)._folded[2] >= 46.0 * SUM.scale_hint()
+
+    @pytest.mark.parametrize("law", DEFAULT_POWER_LAWS + [SUM], ids=str)
+    @pytest.mark.parametrize("alpha", [0.4, 1.2, 1.8])
+    def test_root_matches_the_full_grid_rule(self, law, alpha):
+        # the root of the trapezoid over the whole core plus the tail
+        # rule from the last core point, solved by brentq
+        f = realize(law)
+        P = alpha_power(law, alpha).value
+        t, h_ref, r = math.log(P), reference_entropy(alpha), last_core_point(f)
+        full = brentq(
+            lambda u: unfolded_g(f, alpha, math.exp(u), r) - h_ref, t - 1e-3, t + 1e-3, xtol=1e-14
+        )
+        assert P == pytest.approx(math.exp(full), rel=2e-9)
 
 
 def cauchy_pdf(delta):

@@ -110,6 +110,38 @@ class TestTailLaw:
             TailLaw(exponent=1.0, coefficient=-1.0)
 
 
+def core_by_search(f):
+    """The core slice by a search over the grid: every index whose
+    distance from n // 2, times h, is within the accurate radius."""
+    off = np.abs(np.arange(f.n) - f.n // 2) * f.h
+    k = np.flatnonzero(off <= f.accurate_radius)
+    return slice(int(k[0]), int(k[-1]) + 1)
+
+
+class TestCore:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_search(self, seed):
+        # spacings both random and decimal (0.1, 0.03, ...), whose
+        # multiples round either side of the radius; without a tail law
+        # the radius is half_extent - h
+        rng = np.random.default_rng(seed)
+        for _ in range(600):
+            n = 2 ** int(rng.integers(1, 15))
+            h = float(rng.uniform(1e-4, 10.0))
+            if rng.random() < 0.5:
+                h = round(h, int(rng.integers(1, 4))) or 0.1
+            tail = TailLaw(1.5, 1.0) if rng.random() < 0.5 else None
+            f = GriddedDensity(float(rng.uniform(-1e3, 1e3)), h, np.ones(n), tail)
+            assert f.core == core_by_search(f)
+
+    @pytest.mark.parametrize("tail", [None, TailLaw(1.5, 1.0)])
+    @pytest.mark.parametrize("h", [0.1, 0.3, 1.0, 400.0 / 2**16])
+    def test_two_points(self, tail, h):
+        # the center point alone is within the radius (0 or 0.9 h)
+        f = GriddedDensity(-h, h, np.ones(2), tail)
+        assert f.core == core_by_search(f) == slice(1, 2)
+
+
 class TestGriddedDensity:
     def test_normalize(self):
         f = gaussian_grid()
@@ -366,7 +398,7 @@ class TestTailRule:
         # is near r: twice the rule's weights are its two-sided mass
         tail = tail_law(sas_series(a, r / 180.0))
         f = GriddedDensity(-r / 0.9, r / 0.9 / 512, np.ones(1024), tail)
-        n, w, _ = f.tail_nodes
+        n, w, _ = f.tail_nodes()
         x_last = last_core_point(f)
         assert n[0] == pytest.approx(x_last, rel=1e-15)
         assert 2.0 * float(np.sum(w)) == pytest.approx(
@@ -383,5 +415,5 @@ class TestTailRule:
         assert 1.0 - core == pytest.approx(missing, rel=self.REL, abs=0)
 
     def test_no_rule_without_tail(self):
-        n, w, log_p = gaussian_grid().tail_nodes
+        n, w, log_p = gaussian_grid().tail_nodes()
         assert n.size == w.size == log_p.size == 0
