@@ -6,11 +6,17 @@ The power of order alpha of a law X is the unique P > 0 with
 
 where ref is the unit-power reference stable law.  g is continuous and
 strictly decreasing, and smooth in t = ln P, where one pass over the
-quadrature nodes gives both g and dg/dt.  So the root is found by
-Newton's method in t, safeguarded as in rtsafe (Numerical Recipes):
-steps are capped until the root is bracketed, then a step that leaves
-the bracket is replaced by bisection.  Closed-form fast paths cover
-alpha = 2 (root mean square) and stable inputs at matching alpha.
+quadrature nodes gives both g and dg/dt.  The root is found in t from
+the log-moment start: X = P ref gives E ln|X| = t + E ln|ref|, with
+E ln|S(alpha, gamma)| = ln gamma + EULER_GAMMA (1/alpha - 1)
+(Zolotarev 1986), so t0 is the mean of ln|X| over the nodes less that
+of the reference, exact but for the rule's error when X is stable.
+Steps are Newton's, capped at ln 8 until the root is bracketed; then
+each takes the cubic Hermite t(g) through the last two points (g is
+monotone, so t is a function of g, and the cubic's value at g = h(ref)
+is the next t), and a step that leaves the bracket is replaced by
+bisection, as in rtsafe (Numerical Recipes).  Closed-form fast paths
+cover alpha = 2 (root mean square) and stable inputs at matching alpha.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 from . import density as dens
 from . import stable
 from .density import Cauchy, Empirical, RandomLaw, SaS, Scaled, Sum
+from .specfun import EULER_GAMMA
 
 __all__ = ["AlphaPowerResult", "g_of_P", "alpha_power"]
 
@@ -200,8 +207,13 @@ def alpha_power(law: RandomLaw, alpha: float) -> AlphaPowerResult:
 
     h_ref = stable.reference_entropy(alpha)
     g = _g_rule(law, alpha)
+    # start at the log-moment (module docstring)
+    pos = g.y > 0
+    w = g.w[pos]
+    t = float(np.add.reduce(w * np.log(g.y[pos])) / np.add.reduce(w))
+    t -= math.log(stable.reference_gamma(alpha)) + EULER_GAMMA * (1.0 / alpha - 1.0)
     # g decreases in t = ln P: the root lies above t while g > h_ref
-    t, lo, hi = math.log(law.scale_hint()), -math.inf, math.inf
+    lo, hi, last = -math.inf, math.inf, None
     for _ in range(MAX_STEPS):
         P = math.exp(t)
         value, slope = g(P)
@@ -216,9 +228,20 @@ def alpha_power(law: RandomLaw, alpha: float) -> AlphaPowerResult:
         step = -excess / slope if slope < 0 else math.copysign(math.inf, excess)
         if math.isinf(hi - lo):
             step = max(-math.log(8.0), min(math.log(8.0), step))
-        elif not lo <= t + step <= hi:
-            step = (lo + hi) / 2.0 - t
+        else:
+            if last is not None and slope < 0 and last[2] < 0 and last[1] != excess:
+                # the cubic Hermite t(excess) through the last two points,
+                # with dt/d(excess) = 1/slope at each, read at excess 0:
+                # Newton's step plus its divided-difference terms
+                t0, e0, s0 = last
+                de = excess - e0
+                q = (t - t0) / de
+                a = (1.0 / slope - q) / de
+                step += excess * excess * (a - e0 * (a - (q - 1.0 / s0) / de) / de)
+            if not lo <= t + step <= hi:
+                step = (lo + hi) / 2.0 - t
         if excess == 0 or abs(step) < ROOT_TOL:
             return AlphaPowerResult(P, alpha, "numeric_root", abs(excess))
+        last = (t, excess, slope)
         t += step
     raise ArithmeticError(f"alpha-power root did not converge in {MAX_STEPS} steps ({alpha=})")

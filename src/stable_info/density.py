@@ -44,8 +44,8 @@ GRID_N = 2**16
 GRID_EXTENT = 200.0
 SPECTRAL_EXTENT = 400.0
 MAX_GRID_N = 2**22
-# grid points (8 bytes each) realize() keeps across its cached densities;
-# the newest one is kept even when it alone is larger
+# grid points (8 bytes each) realize() keeps across its cached densities
+# of at most this size; beside them it keeps the most recently used larger one
 MEMO_POINTS = 2**20
 
 
@@ -382,8 +382,11 @@ def realize(law: RandomLaw, grid: GridSpec | None = None) -> GriddedDensity:
     """The law's density on grid (plan_grid(law) when None).
 
     Realizations are memoized on (law, grid), least recently used
-    evicted first once their grid points exceed MEMO_POINTS; the
-    returned density is shared, so its values are read-only."""
+    evicted first once their grid points exceed MEMO_POINTS.  A density
+    larger than MEMO_POINTS alone is held outside that count, the most
+    recently used one only, so smaller first-time densities do not
+    evict it.  The returned density is shared, so its values are
+    read-only."""
     if grid is None:
         grid = plan_grid(law)
     key = (law, grid)
@@ -392,9 +395,15 @@ def realize(law: RandomLaw, grid: GridSpec | None = None) -> GriddedDensity:
         return _memo[key]
     f = _memo[key] = law._realize_on(grid)
     f.values.flags.writeable = False
-    points = sum(d.n for d in _memo.values())
-    while points > MEMO_POINTS and len(_memo) > 1:
-        points -= _memo.popitem(last=False)[1].n
+    big = [k for k, d in _memo.items() if d.n > MEMO_POINTS]
+    for k in big[:-1]:
+        del _memo[k]
+    small = [k for k, d in _memo.items() if d.n <= MEMO_POINTS]
+    points = sum(_memo[k].n for k in small)
+    for k in small:
+        if points <= MEMO_POINTS:
+            break
+        points -= _memo.pop(k).n
     return f
 
 

@@ -22,6 +22,7 @@ from stable_info.density import (
     realize,
 )
 from stable_info.gridded import GridSpec
+from stable_info.specfun import EULER_GAMMA
 from stable_info.stable import reference_entropy, sample_sas
 
 
@@ -135,6 +136,17 @@ def counted_logpdf(monkeypatch) -> list:
     return calls
 
 
+class InjectedRule:
+    """A stand-in for a g rule: g(P) gives (g, dg/dt) at P, and the nodes
+    y and weights w set the log-moment start."""
+
+    def __init__(self, g, y=(1.0,), w=(1.0,)):
+        self.g, self.y, self.w = g, np.asarray(y), np.asarray(w)
+
+    def __call__(self, P):
+        return self.g(P)
+
+
 POWER_TABLE = [(a, law) for a in DEFAULT_POWER_ALPHAS for law in DEFAULT_POWER_LAWS]
 SAMPLED = Empirical(tuple(sample_sas(1.5, 1.0, 20_000, seed=1)))
 
@@ -178,11 +190,13 @@ class TestNewtonRoot:
     @pytest.mark.parametrize("s", [1e-6, 1e6])
     def test_far_start_finds_the_same_root(self, monkeypatch, s):
         # g(P / s) has its root s times farther out than the start at the
-        # scale hint; from s = 1e-6 the start is where g is nearly flat,
-        # so the Newton steps are huge until the ln 8 cap stops them
+        # log-moment of the nodes; from s = 1e-6 the start is where g is
+        # nearly flat, so the Newton steps are huge until the ln 8 cap
+        # stops them
         want = alpha_power(Laplace(1.0), 1.5).value
         rule = _g_rule(Laplace(1.0), 1.5)
-        monkeypatch.setattr(alphapower, "_g_rule", lambda law, alpha: lambda P: rule(P / s))
+        far = InjectedRule(lambda P: rule(P / s), rule.y, rule.w)
+        monkeypatch.setattr(alphapower, "_g_rule", lambda law, alpha: far)
         calls = counted_logpdf(monkeypatch)
         got = alpha_power(Laplace(1.0), 1.5).value / s
         assert got == pytest.approx(want, rel=1e-11)
@@ -191,24 +205,43 @@ class TestNewtonRoot:
 
     def test_overshoot_is_bisected(self, monkeypatch):
         # excess -atan(10 (t - t_root)), started 0.2 above the root: the
-        # capped first step brackets the root, and the Newton step from
-        # there lands beyond the bracket; unguarded it diverges
+        # capped first step brackets the root, and the cubic step from
+        # the third point lands beyond the bracket; unguarded it diverges
         h = reference_entropy(1.5)
-        t_root = math.log(Laplace(1.0).scale_hint()) - 0.2
+        # the nodes y = 1 put the start at -E ln|ref|
+        t_root = -math.log(stable.reference_gamma(1.5)) + EULER_GAMMA / 3.0 - 0.2
+        ts = []
 
         def rule(P):
-            x = 10.0 * (math.log(P) - t_root)
+            ts.append(math.log(P))
+            x = 10.0 * (ts[-1] - t_root)
             return h - math.atan(x), -10.0 / (1.0 + x * x)
 
-        monkeypatch.setattr(alphapower, "_g_rule", lambda law, alpha: rule)
+        monkeypatch.setattr(alphapower, "_g_rule", lambda law, alpha: InjectedRule(rule))
         assert math.log(alpha_power(Laplace(1.0), 1.5).value) == pytest.approx(t_root, abs=1e-12)
+        # some point is the middle of the bracket the points before it set
+        lo = [max([u for u in ts[:i] if u < t_root], default=-math.inf) for i in range(len(ts))]
+        hi = [min([u for u in ts[:i] if u > t_root], default=math.inf) for i in range(len(ts))]
+        assert any(abs(t - (a + b) / 2.0) <= 1e-14 for t, a, b in zip(ts, lo, hi))
 
     @pytest.mark.parametrize("bad", ["value", "slope"])
     def test_nan_is_arithmetic_error(self, monkeypatch, bad):
         out = (math.nan, -1.0) if bad == "value" else (1.0, math.nan)
-        monkeypatch.setattr(alphapower, "_g_rule", lambda law, alpha: lambda P: out)
+        nan = InjectedRule(lambda P: out)
+        monkeypatch.setattr(alphapower, "_g_rule", lambda law, alpha: nan)
         with pytest.raises(ArithmeticError, match="NaN"):
             alpha_power(Laplace(1.0), 1.5)
+
+    def test_log_moment_start_of_a_stable_law(self, monkeypatch):
+        # a shifted stable escapes the closed form, but E ln|X| over its
+        # nodes is the stable log-moment, so the start is the root up to
+        # the rule's own error: two steps, and the evaluation that stops
+        # (5 evaluations from the scale hint)
+        calls = counted_logpdf(monkeypatch)
+        r = alpha_power(Shifted(SaS(1.5, 2.0), 0.0), 1.5)
+        assert r.method == "numeric_root"
+        assert r.value == pytest.approx(1.5 ** (1 / 1.5) * 2.0, rel=1e-7)
+        assert len(calls) <= 3
 
     def test_no_convergence_is_arithmetic_error(self, monkeypatch):
         monkeypatch.setattr(alphapower, "MAX_STEPS", 2)
@@ -465,15 +498,26 @@ class TestFoldedRule:
         for alpha, law in POWER_TABLE:
             alpha_power(law, alpha)
         assert len(POWER_TABLE) == 40
-        # 222 calls; brentq from a widened bracket took 390
-        assert len(calls) <= 260
+        # 167 calls; Newton from the scale hint took 222, brentq from a
+        # widened bracket 390
+        assert len(calls) <= 175
 
     def test_sampled_g_evaluations(self, monkeypatch):
         calls = counted_logpdf(monkeypatch)
         for alpha in DEFAULT_POWER_ALPHAS:
             alpha_power(SAMPLED, alpha)
-        # 44 calls; brentq from a widened bracket took 86
-        assert len(calls) <= 52
+        # 33 calls; Newton from the scale hint took 44, brentq from a
+        # widened bracket 86
+        assert len(calls) <= 34
+
+    def test_sampled_stable_g_evaluations(self, monkeypatch):
+        # the Monte Carlo scores: each sample set at its own alpha
+        laws = {a: Empirical(sample_sas(a, 1.0, 20_000, seed=2)) for a in (1.2, 1.5, 1.8)}
+        calls = counted_logpdf(monkeypatch)
+        for alpha, law in laws.items():
+            alpha_power(law, alpha)
+        # 10 calls; Newton from half the interquartile range took 16
+        assert len(calls) <= 10
 
 
 class TestNodeRule:
@@ -591,12 +635,15 @@ class TestQuadOracle:
 class TestEmpiricalRoute:
     @pytest.mark.parametrize(
         "alpha, value",
-        [(1.2, 0.9446902916703224), (1.5, 1.3150398896074287), (2.0, math.inf)],
+        [(1.2, 0.9446902916703227), (1.5, 1.3150398896073643), (2.0, math.inf)],
     )
     def test_sampled_power_pinned(self, alpha, value):
         # recorded before samples were held as an array, so the route is bit
         # for bit; re-recorded when h(ref) and the reference density took
-        # the tail series from the last core point
+        # the tail series from the last core point, and again when the
+        # root started at the log-moment and stepped on the cubic: a
+        # different last step lands elsewhere within ROOT_TOL
+        # (3e-16 and 4.9e-14 relative)
         assert alpha_power(SAMPLED, alpha).value == value
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from stable_info import cli, density
 from stable_info.density import (
     MEMO_POINTS,
     Cauchy,
@@ -332,3 +333,26 @@ class TestRealizationMemo:
         f = realize(SaS(1.5, 1.0), grid)
         assert realize(SaS(1.5, 1.0), grid) is f
         assert len(sas_calls) == 1
+
+    def test_larger_density_outlives_smaller_ones(self, sas_calls, monkeypatch):
+        # a budget of four small grids: the one larger density is held
+        # beside them, so small first-time densities evict only each
+        # other, and the next larger one takes its place
+        monkeypatch.setattr(density, "MEMO_POINTS", 4 * 2**10)
+        small, big = GridSpec(2**10, 200.0), GridSpec(2**13, 400.0)
+        f = realize(SaS(1.5, 1.0), big)
+        for k in range(6):
+            realize(SaS(1.5, 1.0 + 0.1 * k), small)
+        assert realize(SaS(1.5, 1.0), big) is f
+        assert sum(d.n for d in density._memo.values() if d.n <= 4 * 2**10) <= 4 * 2**10
+        realize(SaS(1.2, 1.0), big)
+        assert [d.n for d in density._memo.values()].count(big.n) == 1
+        realize(SaS(1.5, 1.0), big)
+        assert len(sas_calls) == 1 + 6 + 1 + 1
+
+    def test_giie_table_realizes_its_largest_law_once(self, sas_calls, capsys):
+        # S(0.4, 9.88) is realized on 2^21 points, over MEMO_POINTS; each
+        # alpha's first-time reference density used to evict it
+        assert cli.main(["giie-table"]) == 0
+        large = [(a, grid.n) for a, _, grid in sas_calls if grid.n > MEMO_POINTS]
+        assert large == [(0.4, 2**21)]

@@ -17,6 +17,45 @@ from stable_info.gridded import (
 from stable_info.stable import sas_density, sas_series, tail_law
 
 
+def masked_logpdf(f, xq, slope=False):
+    """GriddedDensity.logpdf as it read the spline before it took no
+    boolean masks: the spline at the points within r = min(accurate
+    radius, last knot) only, gathered and scattered through a mask; the
+    reference the gather-free reading must match bit for bit."""
+    f.logpdf(0.0)
+    xq = np.asarray(xq, dtype=float)
+    scalar = xq.ndim == 0
+    xq = np.atleast_1d(xq)
+    out = np.empty_like(xq)
+    knots, c = f._spline
+    signed = xq - f.center
+    d = np.abs(signed)
+    inside = d <= min(f.accurate_radius, knots[-1])
+    outside = ~inside
+    di = d[inside]
+    k = np.minimum((di / f.h).astype(np.intp), knots.size - 2)
+    s = di - knots.take(k)
+    c0, c1, c2 = c[0].take(k), c[1].take(k), c[2].take(k)
+    s2 = s * s
+    out[inside] = c[3].take(k) + c2 * s + c1 * s2 + c0 * (s2 * s)
+    tail_slope = 0.0
+    if f.tail is None:
+        out[outside] = np.log(1e-300)
+    else:
+        p = f.tail.pdf(d[outside], slope)
+        if slope:
+            p, tail_slope = p
+        out[outside] = np.log(np.maximum(p, 1e-300))
+    np.fmax(out, np.log(1e-300), out=out)
+    if not slope:
+        return out[0] if scalar else out
+    dout = np.empty_like(xq)
+    dout[inside] = (3.0 * c0 * s + 2.0 * c1) * s + c2
+    dout[outside] = tail_slope
+    dout.view(np.int64)[...] ^= signed.view(np.int64) & np.int64(-(2**63))
+    return out, dout
+
+
 def gaussian_grid(sigma=1.0, n=2**14, L=12.0):
     g = GridSpec(n=n, half_extent=L)
     x = g.points()
@@ -228,6 +267,53 @@ class TestGriddedDensity:
             expect = np.log(np.clip(f.tail.pdf(np.abs(out)), 1e-300, None))
         assert np.array_equal(f.logpdf(f.center + out), expect)
         assert f.logpdf(np.nan) == np.log(1e-300)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gaussian_grid(sigma=1.0, L=60.0),
+            lambda: realize(SaS(1.2, 1.0)),
+            lambda: realize(SaS(0.4, 1.0)),
+            lambda: realize(Laplace(1.0)),
+            lambda: GriddedDensity(0.5 - 12.0, 24.0 / 2**14, gaussian_grid().values),
+        ],
+        ids=["gaussian-short-spline", "sas", "sas-0.4", "laplace", "off-center"],
+    )
+    @given(
+        d=st.lists(
+            st.one_of(
+                st.floats(0.0, 1.2),
+                st.floats(1.2, 1e300),
+                st.sampled_from([0.0, 1.0, math.nan, math.inf]),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        sign=st.lists(st.booleans(), min_size=60, max_size=60),
+        shape=st.sampled_from(["scalar", "flat", "rows", "columns"]),
+        slope=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_logpdf_is_the_masked_reading(self, make, d, sign, shape, slope):
+        # distances in units of r = min(accurate radius, last knot), so
+        # they fall inside, on and beyond the spline region, signed, and
+        # NaN and +-inf among them
+        f = make()
+        f.logpdf(0.0)
+        r = min(f.accurate_radius, f._spline.x[-1])
+        x = np.array(d) * r * np.where(sign[: len(d)], 1.0, -1.0)
+        x = f.center + np.concatenate([x, [r, -r, np.nextafter(r, np.inf)]])
+        if shape == "scalar":
+            x = x[0]
+        elif shape != "flat":
+            x = x[: x.size // 2 * 2].reshape(2, -1)
+            # columns: the transpose, laid out in Fortran order
+            x = x.T if shape == "columns" else x
+        got, want = f.logpdf(x, slope), masked_logpdf(f, x, slope)
+        for g, w in zip(got, want) if slope else [(got, want)]:
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(g, w, equal_nan=True)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
 
     @pytest.mark.parametrize(
         "make", [gaussian_grid, lambda: realize(SaS(1.2, 1.0))], ids=["gaussian", "sas"]
