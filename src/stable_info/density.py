@@ -338,6 +338,12 @@ class Empirical(RandomLaw):
         head = ", ".join(map(repr, self.samples[:3].tolist())) + ", ..." * (n > 3)
         return f"Empirical(samples=({head}), n={n})"
 
+    def _no_density(self, *_):
+        raise ValueError("an Empirical law has no density; alpha_power reads its samples directly")
+
+    # every route to a density, bare or inside Shifted, Scaled or Sum, calls one of these
+    cf = series = _realize_on = _no_density
+
     def scale_hint(self):
         iqr = float(np.subtract(*np.percentile(self.samples, [75, 25])))
         if iqr > 0:

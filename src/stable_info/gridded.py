@@ -41,6 +41,13 @@ _TAIL_W[-4:] *= np.array([49.0, 43.0, 59.0, 17.0]) / 48.0
 _NO_TAIL = (np.empty(0), np.empty(0), np.empty(0))
 
 
+def _trapezoid(y: np.ndarray, h: float) -> float:
+    """np.trapezoid(y, dx=h) of a 1-D y, bit for bit, with one temporary."""
+    t = y[1:] + y[:-1]
+    t *= h
+    return float(np.add.reduce(np.divide(t, 2.0, out=t)))
+
+
 @lru_cache(maxsize=64)
 def _tail_nodes(tail: TailLaw, x_last: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(n, w, ln p_tail(n)) of a tail law beyond x_last: with
@@ -250,10 +257,10 @@ class GriddedDensity:
         return slice(c - k, min(self.n, c + k + 1))
 
     def grid_mass(self) -> float:
-        return float(np.trapezoid(self.values, dx=self.h))
+        return _trapezoid(self.values, self.h)
 
     def core_mass(self) -> float:
-        return float(np.trapezoid(self.values[self.core], dx=self.h))
+        return _trapezoid(self.values[self.core], self.h)
 
     def tail_nodes(self, radius: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(n, w, ln p_tail(n)): the node rule of each side's tail beyond
@@ -273,16 +280,15 @@ class GriddedDensity:
             return self.grid_mass()
         return self.core_mass() + self.tail_mass()
 
-    def normalize(self) -> "GriddedDensity":
-        """Rescale grid values so total mass (core + tail) is 1."""
+    def normalize(self, out=None) -> "GriddedDensity":
+        """Rescale grid values so total mass (core + tail) is 1, into out if given."""
         if self.tail is None:
-            return GriddedDensity(self.x0, self.h, self.values / self.grid_mass())
+            return GriddedDensity(self.x0, self.h, np.divide(self.values, self.grid_mass(), out=out))
         target = 1.0 - self.tail_mass()
         if target <= 0:
             raise ValueError("tail mass exceeds 1; grid too narrow")
-        return GriddedDensity(
-            self.x0, self.h, self.values * (target / self.core_mass()), self.tail
-        )
+        scaled = np.multiply(self.values, target / self.core_mass(), out=out)
+        return GriddedDensity(self.x0, self.h, scaled, self.tail)
 
     def logpdf(self, xq, slope=False):
         """Log-density at the distance d = |x - center| (the density is
@@ -312,11 +318,11 @@ class GriddedDensity:
             left, right = stop[stop < i], stop[stop > i]
             lo = int(left[-1]) + 1 if left.size else 0
             hi = int(right[0]) - 1 if right.size else self.n - 1
-            sl = slice(lo, hi + 1)
-            logp = np.log(np.clip(self.values[sl], _FLOOR, None))
+            logp = np.log(np.clip(self.values[lo : hi + 1], _FLOOR, None))
+            x = self.x0 + self.h * np.arange(lo, hi + 1)
             # x[n // 2] is the center itself: the kept knots are d = 0, h, ...
-            knots = self.x[self.n // 2 : hi + 1] - self.center
-            self._spline = _Cubic(knots, _not_a_knot(self.x[sl], logp, self.n // 2 - lo))
+            knots = x[self.n // 2 - lo :] - self.center
+            self._spline = _Cubic(knots, _not_a_knot(x, logp, self.n // 2 - lo))
         xq = np.asarray(xq, dtype=float)
         scalar = xq.ndim == 0
         xq = np.atleast_1d(xq)
@@ -359,7 +365,7 @@ class GriddedDensity:
         over the core, plus -2 sum w ln p_tail(n) over the tail nodes
         (none without a tail law)."""
         p = np.clip(self.values[self.core], _FLOOR, None)
-        core = -float(np.trapezoid(p * np.log(p), dx=self.h))
+        core = -_trapezoid(np.multiply(p, np.log(p), out=p), self.h)
         _, w, log_p = self.tail_nodes()
         return core - 2.0 * float(np.add.reduce(w * log_p))
 

@@ -70,16 +70,21 @@ def _parseval_weights(f: GriddedDensity) -> tuple[np.ndarray, np.ndarray, float]
     Nyquist bin, which has no mirror).  The tail mass is
     GriddedDensity.tail_mass(), that of the tail series beyond the core."""
     if f._spectral is None:
-        n, core = f.n, f.core
-        phi = np.fft.rfft(np.fft.ifftshift(f.values)) * f.h
-        ell = np.zeros(n)
-        ell[core] = np.log(np.clip(f.values[core], _FLOOR, None))
-        ell[core.start] *= 0.5
-        ell[core.stop - 1] *= 0.5
-        lhat = np.fft.rfft(np.fft.ifftshift(ell))
+        n, c, core = f.n, f.n // 2, f.core
+        # ifftshift layout, grid index j at (j - c) mod n: the core wraps round 0
+        ell = np.concatenate((f.values[c:], f.values[:c]))
+        phi = np.fft.rfft(ell)
+        phi *= f.h
+        np.log(np.clip(ell, _FLOOR, None, out=ell), out=ell)
+        ell[core.stop - c : n - c + core.start] = 0.0
+        ell[(core.start - c) % n] *= 0.5
+        ell[core.stop - 1 - c] *= 0.5
+        lhat = np.fft.rfft(ell)
         # formed from the real and imaginary parts, so q is contiguous for
         # the weighted sum in jalpha_spectral
-        q = (lhat.real * phi.real + lhat.imag * phi.imag) / n
+        q = lhat.real * phi.real
+        q += np.multiply(lhat.imag, phi.imag, out=lhat.imag)
+        q /= n
         q[1:(n + 1) // 2] *= 2.0
         f._spectral = (q, np.abs(phi), f.tail_mass())
     return f._spectral

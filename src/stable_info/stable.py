@@ -12,10 +12,10 @@ images has a closed form in the Hurwitz zeta function,
 
     sum_{m>=1} |x +- 2Lm|^(-s) = (2L)^(-s) zeta(s, 1 +- x/2L),
 
-which is subtracted exactly.  The image sum is even in x, so it is
-evaluated on one half of the grid and mirrored.  After that the grid is
-accurate to roughly 1e-8 pointwise and the same series describes the
-law beyond the grid.
+which is subtracted exactly.  The sum is even in x: zeta is taken at the
+non-negative interpolation nodes, and the sum read on x <= 0 is taken off
+both halves of the one density buffer.  The grid is then accurate to about
+1e-8 pointwise and the same series describes the law beyond the grid.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Chebyshev
+from numpy.polynomial.chebyshev import chebpts1, chebvander
 from scipy.special import zeta
 
 from .gridded import GriddedDensity, GridSpec, TailLaw
@@ -56,6 +56,9 @@ _TAIL_TERMS = 10
 # sum is analytic there with its nearest singularities at +-2L, so 32
 # carries it to roundoff, about 1e-14 of its size
 _ALIAS_DEGREE = 32
+# its nodes (chebpts1) and the transposed Vandermonde matrix of chebinterpolate
+_ALIAS_NODES = chebpts1(_ALIAS_DEGREE + 1)
+_ALIAS_VT = chebvander(_ALIAS_NODES, _ALIAS_DEGREE).T
 
 
 @dataclass(frozen=True)
@@ -133,21 +136,29 @@ def _alias_images(x, tail: TailLaw, L: float) -> np.ndarray:
     """The tail series sum_k c_k |x|^(-s_k) summed over every wrap-around
     image x +- 2Lm, m >= 1, at points x in [-L, L]: sum_k c_k (2L)^(-s_k)
     [zeta(s_k, 1 + u) + zeta(s_k, 1 - u)] with u = x/2L, evaluated at the
-    Chebyshev nodes only and interpolated from there.
+    Chebyshev nodes only and interpolated as chebinterpolate does.
 
-    The sum is even, so only the even coefficients of its interpolant
-    are kept, and T_2k(t) = T_k(2t^2 - 1) turns them into a series of
-    half the degree in 2(x/L)^2 - 1."""
+    The sum is even and the nodes are exact negatives of each other, so
+    zeta is taken at the 17 nodes t >= 0 and mirrored.  Only the even
+    coefficients are kept: T_2k(t) = T_k(2t^2 - 1) makes them a series of
+    half the degree in 2(x/L)^2 - 1, summed in chebval's order in place."""
     e, c = np.array(((tail.exponent, tail.coefficient),) + tail.extra).T
     s = e + 1.0
     weights = c * (2.0 * L) ** (-s)
-
-    def image_sum(t):
-        u = t[:, None] / 2.0
-        return (zeta(s, 1.0 + u) + zeta(s, 1.0 - u)) @ weights
-
-    even = Chebyshev(Chebyshev.interpolate(image_sum, _ALIAS_DEGREE).coef[::2])
-    return even(2.0 * (x / L) ** 2 - 1.0)
+    u = _ALIAS_NODES[_ALIAS_DEGREE // 2 :, None] / 2.0
+    rows = zeta(s, 1.0 + u) + zeta(s, 1.0 - u)
+    even = np.dot(_ALIAS_VT, np.concatenate((rows[:0:-1], rows)) @ weights)[::2]
+    even[0] /= _ALIAS_DEGREE + 1
+    even[1:] /= 0.5 * (_ALIAS_DEGREE + 1)
+    t = 2.0 * (x / L) ** 2 - 1.0
+    t2 = 2 * t
+    c0, c1, tmp = np.full_like(t, even[-2]), np.full_like(t, even[-1]), np.empty_like(t)
+    for ck in even[-3::-1]:
+        # c0, c1 = ck - c1, c0 + c1 * t2
+        np.add(c0, np.multiply(c1, t2, out=tmp), out=tmp)
+        np.subtract(ck, c1, out=c0)
+        c1, tmp = tmp, c1
+    return np.add(c0, np.multiply(c1, t, out=c1), out=c1)
 
 
 def pdf_grid_cf(cf, tail: TailLaw | None, grid: GridSpec, label: str) -> GriddedDensity:
@@ -163,10 +174,12 @@ def pdf_grid_cf(cf, tail: TailLaw | None, grid: GridSpec, label: str) -> Gridded
     point of the fine inversion.  At the 2^22-point cap a law with a
     power tail raises ArithmeticError; a light law, whose cf may decay
     only like a power of w (Uniform's), is inverted there and keeps the
-    truncation error.  The wrap-around images of a tail law are removed
-    by _alias_images on the half grid x <= 0, mirrored onto x > 0."""
+    truncation error.  The irfft goes into one buffer, halves swapped
+    (fftshift) and divided by h; the wrap-around images of a tail law,
+    _alias_images on the n/2 + 1 points x <= 0, are subtracted from both
+    halves, and the buffer is clipped at 0 and normalized in place."""
     h, n = grid.h, grid.n
-    x = grid.points()
+    half = n // 2
     probe = math.pi / h * np.array([1.0, math.sqrt(2.0)])
     stride = 1
     while np.max(np.abs(cf(stride * probe))) > math.exp(-27.0):
@@ -184,13 +197,13 @@ def pdf_grid_cf(cf, tail: TailLaw | None, grid: GridSpec, label: str) -> Gridded
     if stride > 1:
         # the full spectrum in fftfreq order (phi is even), folded
         full = np.concatenate([phi, phi[-2:0:-1]])
-        phi = full.reshape(stride, n).sum(axis=0)[: n // 2 + 1]
-    p = np.fft.fftshift(np.fft.irfft(phi, n)) / h
+        phi = full.reshape(stride, n).sum(axis=0)[: half + 1]
+    p = np.divide(np.fft.irfft(phi, n).reshape(2, half)[::-1], h).reshape(n)
     if tail is not None:
-        # x[: n//2 + 1] runs from -L to 0 and holds every |x| of the grid
-        images = _alias_images(x[: n // 2 + 1], tail, grid.half_extent)
-        p -= np.concatenate([images, images[-2:0:-1]])
-    return GriddedDensity(float(x[0]), h, np.clip(p, 0.0, None), tail).normalize()
+        images = _alias_images((np.arange(half + 1) - half) * h, tail, grid.half_extent)
+        p[: half + 1] -= images
+        p[half + 1 :] -= images[-2:0:-1]
+    return GriddedDensity(-half * h, h, np.clip(p, 0.0, None, out=p), tail).normalize(out=p)
 
 
 def pdf_grid_sas(alpha: float, gamma: float, grid: GridSpec) -> GriddedDensity:

@@ -464,12 +464,17 @@ class TestSnapshots:
 class TestImportCost:
     def test_cli_import_skips_scipy_optimize_and_interpolate(self):
         # each is about 0.15 s of start-up; the package builds its spline
-        # and solves its root without them
+        # and solves its root without them.  Its FFTs are numpy's:
+        # scipy.fft alone adds about 27 ms, and scipy.signal loads it
         src = str(Path(stable_info.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = "import sys, stable_info.cli; print(' '.join(sorted(sys.modules)))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         loaded = out.stdout.split()
         assert "stable_info.cli" in loaded
-        heavy = [m for m in loaded if m.startswith(("scipy.optimize", "scipy.interpolate"))]
+        heavy = [
+            m
+            for m in loaded
+            if m.startswith(("scipy.optimize", "scipy.interpolate", "scipy.fft", "scipy.signal"))
+        ]
         assert heavy == []

@@ -23,7 +23,7 @@ from stable_info.density import (
     realize,
 )
 from stable_info.gridded import GriddedDensity, GridSpec
-from stable_info.jalpha import jalpha_spectral
+from stable_info.jalpha import jalpha_finite_diff, jalpha_of_law, jalpha_spectral
 
 
 class TestClosedFormRealizations:
@@ -211,13 +211,34 @@ class TestEmpirical:
 
     def test_has_no_density(self):
         # alpha_power reads the samples themselves; nothing realizes them
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(ValueError, match="Empirical law has no density"):
             realize(Empirical((0.0, 1.0, 2.5)))
 
     def test_sum_part_has_no_cf(self):
         # never a silent cf = 1 for the sample set
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(ValueError, match="Empirical law has no density"):
             realize(Sum(Empirical((0.0, 1.0, 2.5)), Gaussian(1.0)))
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda e: e,
+            lambda e: Shifted(e, 1.0),
+            lambda e: Scaled(e, -2.0),
+            lambda e: Sum(e, Gaussian(1.0)),
+            lambda e: Sum(SaS(1.5, 1.0), Shifted(e, 1.0)),
+        ],
+        ids=["bare", "shifted", "scaled", "sum", "nested"],
+    )
+    @pytest.mark.parametrize(
+        "route",
+        [realize, lambda law: jalpha_of_law(law, 1.5), lambda law: jalpha_finite_diff(law, 1.5)],
+        ids=["realize", "jalpha_of_law", "jalpha_finite_diff"],
+    )
+    def test_every_density_route_refuses_it(self, wrap, route):
+        # a ValueError that names the law, not a bare NotImplementedError
+        with pytest.raises(ValueError, match="alpha_power reads its samples"):
+            route(wrap(Empirical((0.0, 1.0, 2.5))))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_refused(self, bad):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from stable_info.density import Laplace, SaS, Sum, Uniform, realize
+from stable_info.density import Laplace, SaS, Shifted, Sum, Uniform, realize
 from stable_info.gridded import (
     GriddedDensity,
     GridSpec,
@@ -54,6 +54,21 @@ def masked_logpdf(f, xq, slope=False):
     dout[outside] = tail_slope
     dout.view(np.int64)[...] ^= signed.view(np.int64) & np.int64(-(2**63))
     return out, dout
+
+
+def sliced_spline(f):
+    """The knots and coefficients of f's log-density spline as logpdf
+    built them before it made the knot abscissae once: slices of f.x,
+    which is read twice."""
+    thresh = float(np.max(f.values)) * 1e-14
+    i = int(np.argmax(f.values))
+    stop = np.flatnonzero(~(f.values > thresh))
+    left, right = stop[stop < i], stop[stop > i]
+    lo = int(left[-1]) + 1 if left.size else 0
+    hi = int(right[0]) - 1 if right.size else f.n - 1
+    logp = np.log(np.clip(f.values[lo : hi + 1], 1e-300, None))
+    knots = f.x[f.n // 2 : hi + 1] - f.center
+    return knots, _not_a_knot(f.x[lo : hi + 1], logp, f.n // 2 - lo)
 
 
 def gaussian_grid(sigma=1.0, n=2**14, L=12.0):
@@ -185,6 +200,27 @@ class TestGriddedDensity:
     def test_normalize(self):
         f = gaussian_grid()
         assert f.total_mass() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "law", [Shifted(SaS(1.5, 1.0), 0.7), Sum(Laplace(1.0), SaS(1.5, 1.0)), Uniform(1.0)]
+    )
+    def test_quadratures_are_numpys_trapezoid(self, law):
+        # the in-place trapezoids against np.trapezoid itself, bit for bit
+        f = realize(law)
+        assert f.grid_mass() == float(np.trapezoid(f.values, dx=f.h))
+        assert f.core_mass() == float(np.trapezoid(f.values[f.core], dx=f.h))
+        p = np.clip(f.values[f.core], 1e-300, None)
+        _, w, log_p = f.tail_nodes()
+        core = -float(np.trapezoid(p * np.log(p), dx=f.h))
+        assert f.entropy() == core - 2.0 * float(np.add.reduce(w * log_p))
+
+    @pytest.mark.parametrize("law", [Shifted(SaS(1.5, 1.0), 0.7), Uniform(1.0)])
+    def test_spline_is_the_sliced_build(self, law):
+        base = realize(law)
+        f = GriddedDensity(base.x0, base.h, base.values, base.tail)
+        f.logpdf(0.0)
+        knots, c = sliced_spline(f)
+        assert np.array_equal(f._spline.x, knots) and np.array_equal(f._spline.c, c)
 
     def test_entropy_gaussian(self):
         f = gaussian_grid(sigma=1.3)

@@ -19,6 +19,7 @@ from stable_info.density import (
 )
 from stable_info.gridded import GridSpec, GriddedDensity
 from stable_info.jalpha import (
+    _parseval_weights,
     debruijn_check,
     jalpha_closed_stable,
     jalpha_finite_diff,
@@ -43,6 +44,21 @@ def complex_fft_reference(f, alpha):
     lp = np.log(np.clip(f.values, 1e-300, None))
     sel = np.abs(np.arange(f.n) - f.n // 2) * f.h <= f.accurate_radius
     return float(np.trapezoid(lp[sel] * r_fun[sel], dx=f.h))
+
+
+def plain_parseval_weights(f):
+    """_parseval_weights as it was before it built ln p in the ifftshift
+    layout and q in place; the reference they must match bit for bit."""
+    n, core = f.n, f.core
+    phi = np.fft.rfft(np.fft.ifftshift(f.values)) * f.h
+    ell = np.zeros(n)
+    ell[core] = np.log(np.clip(f.values[core], 1e-300, None))
+    ell[core.start] *= 0.5
+    ell[core.stop - 1] *= 0.5
+    lhat = np.fft.rfft(np.fft.ifftshift(ell))
+    q = (lhat.real * phi.real + lhat.imag * phi.imag) / n
+    q[1:(n + 1) // 2] *= 2.0
+    return q, np.abs(phi), f.tail_mass()
 
 
 class TestClosedForm:
@@ -178,6 +194,39 @@ class TestSpectral:
         j = jalpha_of_law(SaS(1.5, 1.0), 1.5)
         assert "grid_size" in j.diagnostics
         assert j.diagnostics["edge_magnitude"] >= 0.0
+
+
+class TestParsevalWeights:
+    @pytest.mark.parametrize(
+        "law, alpha",
+        [
+            (SaS(1.2, 1.0), 1.2),
+            (SaS(1.8, 1.0), 1.8),
+            (Cauchy(1.0), 1.5),
+            (Sum(SaS(1.8, 1.0), Gaussian(1.5)), 1.5),
+            (Scaled(SaS(1.5, 1.0), -2.0), 1.5),
+            (Shifted(SaS(1.5, 1.0), 3.0), 1.5),
+            (Laplace(1.0), 1.5),
+            (Gaussian(1.0), 1.0),
+            (SaS(0.6, 1.0), 0.6),
+        ],
+        ids=["S1.2", "S1.8", "cauchy", "sum-53-terms", "scaled-negative", "shifted", "smoothed", "no-tail", "2^17"],
+    )
+    def test_weights_are_the_plain_formula(self, law, alpha):
+        # on a fresh copy, so neither side reads the other's kept weights
+        _, f = spectral_realization(law, alpha)
+        new = _parseval_weights(GriddedDensity(f.x0, f.h, f.values, f.tail))
+        old = plain_parseval_weights(GriddedDensity(f.x0, f.h, f.values, f.tail))
+        assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
+        assert new[2] == old[2]
+
+    @pytest.mark.parametrize("n", [1001, 1024])
+    def test_odd_and_untailed_grids(self, n):
+        # a grid of odd length, and one whose core is all but one point
+        x = np.linspace(-8.0, 8.0, n, endpoint=False)
+        f = GriddedDensity(float(x[0]), float(x[1] - x[0]), np.exp(-(x**2) / 2.0) / math.sqrt(2.0 * math.pi))
+        new, old = _parseval_weights(f), plain_parseval_weights(f)
+        assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
 
 
 class TestSmoothing:

@@ -7,7 +7,17 @@ from scipy.special import zeta
 from scipy.stats import kstest
 
 from stable_info import density
-from stable_info.density import MEMO_POINTS, SaS, realize
+from stable_info.density import (
+    MEMO_POINTS,
+    Cauchy,
+    Gaussian,
+    Laplace,
+    SaS,
+    Scaled,
+    Sum,
+    plan_grid,
+    realize,
+)
 from stable_info.gridded import GriddedDensity, GridSpec
 from stable_info.specfun import gamma_fn
 from stable_info.stable import (
@@ -15,6 +25,7 @@ from stable_info.stable import (
     StableParams,
     _alias_images,
     logpdf_sas,
+    pdf_grid_cf,
     pdf_grid_sas,
     reference_entropy,
     reference_gamma,
@@ -70,6 +81,64 @@ def fine_grid_pdf(alpha, gamma, grid):
     p -= full_alias_interpolant(x, alpha, gamma, grid.half_extent)
     out = GriddedDensity(float(x[0]), h, np.clip(p, 0.0, None), sas_tail(alpha, gamma))
     return out.normalize(), stride
+
+
+def plain_alias_images(x, tail, L):
+    """_alias_images as it was before it took zeta at half the nodes and
+    summed the even series in place: Chebyshev.interpolate of the image
+    sum at all 33 nodes, its even coefficients evaluated by Chebyshev's
+    call.  The reference the new one must match bit for bit."""
+    s, c = tail_terms(tail)
+    weights = c * (2.0 * L) ** (-s)
+
+    def image_sum(t):
+        u = t[:, None] / 2.0
+        return (zeta(s, 1.0 + u) + zeta(s, 1.0 - u)) @ weights
+
+    even = Chebyshev(Chebyshev.interpolate(image_sum, _ALIAS_DEGREE).coef[::2])
+    return even(2.0 * (x / L) ** 2 - 1.0)
+
+
+def plain_pdf_grid_cf(cf, tail, grid):
+    """pdf_grid_cf as it was before it built the density in one buffer:
+    the full grid.points(), fftshift, a concatenated image array, a
+    clipped copy and normalize's np.trapezoid, each a new array."""
+    h, n = grid.h, grid.n
+    x = grid.points()
+    probe = math.pi / h * np.array([1.0, math.sqrt(2.0)])
+    stride = 1
+    while np.max(np.abs(cf(stride * probe))) > math.exp(-27.0):
+        if n * stride * 2 > 2**22:
+            break
+        stride *= 2
+    w = 2.0 * math.pi * np.fft.rfftfreq(n * stride, d=h / stride)
+    phi = cf(w)
+    if stride > 1:
+        full = np.concatenate([phi, phi[-2:0:-1]])
+        phi = full.reshape(stride, n).sum(axis=0)[: n // 2 + 1]
+    p = np.fft.fftshift(np.fft.irfft(phi, n)) / h
+    if tail is not None:
+        images = plain_alias_images(x[: n // 2 + 1], tail, grid.half_extent)
+        p -= np.concatenate([images, images[-2:0:-1]])
+    f = GriddedDensity(float(x[0]), h, np.clip(p, 0.0, None), tail)
+    if tail is None:
+        return GriddedDensity(f.x0, h, f.values / float(np.trapezoid(f.values, dx=h)))
+    core = float(np.trapezoid(f.values[f.core], dx=h))
+    return GriddedDensity(f.x0, h, f.values * ((1.0 - f.tail_mass()) / core), tail)
+
+
+# (law, grid) pairs the one-buffer inverter is held to the plain route on
+INVERSIONS = [
+    pytest.param(SaS(0.4, 1.0), GridSpec(2**16, 200.0), id="S0.4-folded"),
+    pytest.param(SaS(1.2, 1.0), GridSpec(2**16, 200.0), id="S1.2"),
+    pytest.param(SaS(1.8, 1.0), GridSpec(2**16, 200.0), id="S1.8"),
+    pytest.param(Cauchy(1.0), GridSpec(2**16, 200.0), id="cauchy"),
+    pytest.param(Sum(SaS(1.8, 1.0), Gaussian(1.5)), GridSpec(2**16, 300.0), id="sum-53-terms"),
+    pytest.param(Scaled(SaS(1.5, 1.0), -2.0), GridSpec(2**16, 400.0), id="scaled-negative"),
+    pytest.param(Sum(Gaussian(1.0), Laplace(1.0)), GridSpec(2**16, 200.0), id="no-tail"),
+    pytest.param(SaS(0.6, 1.0), plan_grid(SaS(0.6, 1.0), 0.6), id="spectral-2^17"),
+]
+TAILED = [case for case in INVERSIONS if tail_law(case.values[0].series()) is not None]
 
 
 class TestParams:
@@ -215,6 +284,32 @@ class TestAliasCorrection:
         sel = np.abs(f.x) <= f.accurate_radius
         exact = cauchy_pdf(f.x[sel], 1.0)
         assert np.max(np.abs(f.values[sel] / exact - 1.0)) <= 5e-8
+
+
+class TestOneBufferInversion:
+    def test_cases_cover_the_branches(self):
+        cases = [case.values for case in INVERSIONS]
+        assert len(TAILED) == len(cases) - 1
+        assert max(1 + len(tail_law(c.values[0].series()).extra) for c in TAILED) == 53
+        # folded: the cf at the Nyquist frequency is above the e^-27 cut
+        assert any(np.abs(law.cf(math.pi / g.h)) > math.exp(-27.0) for law, g in cases)
+        assert max(g.n for _, g in cases) == 2**17
+
+    @pytest.mark.parametrize("law, grid", INVERSIONS)
+    def test_pdf_grid_cf_is_the_plain_route(self, law, grid):
+        tail = tail_law(law.series())
+        new = pdf_grid_cf(law.cf, tail, grid, repr(law))
+        old = plain_pdf_grid_cf(law.cf, tail, grid)
+        assert (new.x0, new.h, new.tail) == (old.x0, old.h, old.tail)
+        assert np.array_equal(new.values, old.values)
+
+    @pytest.mark.parametrize("law, grid", TAILED)
+    def test_alias_images_are_the_plain_route(self, law, grid):
+        # on the half grid pdf_grid_cf reads, and on the whole grid and
+        # its end point L, as the tests above read it
+        tail, L = tail_law(law.series()), grid.half_extent
+        for x in (grid.points()[: grid.n // 2 + 1], np.append(grid.points(), L)):
+            assert np.array_equal(_alias_images(x, tail, L), plain_alias_images(x, tail, L))
 
 
 class TestSharedDensity:
