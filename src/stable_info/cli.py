@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -326,7 +327,11 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by
+    every main call.  Its list defaults are tuples, so parsing leaves
+    no state on it."""
     p = _Parser(
         prog="stable-info",
         description="Alpha-power / alpha-Fisher information numerics for "
@@ -338,30 +343,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("power-table", help="alpha-power sweep over laws")
     sp.add_argument(
-        "--alphas", type=_floats, default=DEFAULT_POWER_ALPHAS, help="comma-separated alpha values"
+        "--alphas",
+        type=_floats,
+        default=tuple(DEFAULT_POWER_ALPHAS),
+        help="comma-separated alpha values",
     )
     sp.add_argument(
-        "--laws", type=_laws, default=DEFAULT_POWER_LAWS, help="comma-separated law specs"
+        "--laws", type=_laws, default=tuple(DEFAULT_POWER_LAWS), help="comma-separated law specs"
     )
     sp.set_defaults(fn=cmd_power_table)
 
     # the r sweep of both tables is the power-table alpha sweep, 0.4 .. 1.8
     sp = sub.add_parser("jalpha-table", help="alpha-Fisher information of S(r, r^(-1/r))")
-    sp.add_argument("--alphas", type=_floats, default=[1.2, 1.4, 1.6, 1.8])
-    sp.add_argument("--rs", type=_floats, default=DEFAULT_POWER_ALPHAS)
+    sp.add_argument("--alphas", type=_floats, default=(1.2, 1.4, 1.6, 1.8))
+    sp.add_argument("--rs", type=_floats, default=tuple(DEFAULT_POWER_ALPHAS))
     sp.set_defaults(fn=cmd_jalpha_table)
 
     sp = sub.add_parser("giie-table", help="isoperimetric products over stable laws")
-    sp.add_argument("--alphas", type=_floats, default=[1.2, 1.4, 1.6, 1.8, 2.0])
-    sp.add_argument("--rs", type=_floats, default=DEFAULT_POWER_ALPHAS)
+    sp.add_argument("--alphas", type=_floats, default=(1.2, 1.4, 1.6, 1.8, 2.0))
+    sp.add_argument("--rs", type=_floats, default=tuple(DEFAULT_POWER_ALPHAS))
     sp.set_defaults(fn=cmd_giie_table)
 
     sp = sub.add_parser("giie-mix", help="isoperimetric product, stable + Gaussian mix")
-    sp.add_argument("--sigmas", type=_floats, default=[0.5 * i for i in range(17)])
+    sp.add_argument("--sigmas", type=_floats, default=tuple(0.5 * i for i in range(17)))
     sp.set_defaults(fn=cmd_giie_mix)
 
     sp = sub.add_parser("sum-bound", help="entropy-of-sum upper bound check")
-    sp.add_argument("--laws", type=_laws, default=[Gaussian(1.0), Laplace(1.0)])
+    sp.add_argument("--laws", type=_laws, default=(Gaussian(1.0), Laplace(1.0)))
     sp.add_argument("--alpha", type=finite, default=1.5)
     sp.add_argument("--gamma", type=finite, default=1.0)
     sp.set_defaults(fn=cmd_sum_bound)

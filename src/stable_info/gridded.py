@@ -213,9 +213,11 @@ class GriddedDensity:
     values: np.ndarray
     tail: TailLaw | None = None
     _spline: _Cubic | None = field(default=None, repr=False, compare=False)
-    # (q, |phi|, tail mass) of the spectral J_alpha, kept by
+    # (q, |phi|, tail mass, w, edge, top) of the spectral J_alpha, kept by
     # jalpha._parseval_weights
     _spectral: tuple | None = field(default=None, repr=False, compare=False)
+    # the differential entropy, kept by entropy()
+    _entropy: float | None = field(default=None, repr=False, compare=False)
     # (y, w) of the alpha-power's g(P), kept by alphapower._g_rule
     _folded: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -363,9 +365,12 @@ class GriddedDensity:
     def entropy(self) -> float:
         """Differential entropy in nats: the trapezoid rule of -p ln p
         over the core, plus -2 sum w ln p_tail(n) over the tail nodes
-        (none without a tail law)."""
-        p = np.clip(self.values[self.core], _FLOOR, None)
-        core = -_trapezoid(np.multiply(p, np.log(p), out=p), self.h)
-        _, w, log_p = self.tail_nodes()
-        return core - 2.0 * float(np.add.reduce(w * log_p))
+        (none without a tail law).  Computed on the first call and kept
+        on the density."""
+        if self._entropy is None:
+            p = np.clip(self.values[self.core], _FLOOR, None)
+            core = -_trapezoid(np.multiply(p, np.log(p), out=p), self.h)
+            _, w, log_p = self.tail_nodes()
+            self._entropy = core - 2.0 * float(np.add.reduce(w * log_p))
+        return self._entropy
 

@@ -8,10 +8,12 @@ Three evaluation routes:
   finite diff   difference quotients of h(X + t^(1/alpha) N), N ~ S(alpha, 1),
                 Richardson-extrapolated to t -> 0.
 
-The Parseval weights q, the magnitude |phi| of the grid spectrum and
-the tail mass do not depend on alpha: they are built, with two FFTs, on
-the first J of a density and kept on it, so J at a further alpha needs
-no FFT.
+The Parseval weights q, the magnitude |phi| of the grid spectrum, the
+tail mass, the frequencies |w| and the start of the decay guard's band
+do not depend on alpha: they are built, with two FFTs, on the first J
+of a density and kept on it, so J at a further alpha costs one power
+and one weighted sum, with no FFT.  J is shift-invariant, so a shifted
+law reuses its inner law's density and weights.
 
 The spectral route needs |w|^alpha phi integrable; laws whose
 characteristic function decays too slowly (Uniform, Laplace and sums
@@ -61,14 +63,19 @@ def jalpha_closed_stable(alpha: float, gamma: float, d: int = 1) -> float:
     return d / (alpha * gamma**alpha)
 
 
-def _parseval_weights(f: GriddedDensity) -> tuple[np.ndarray, np.ndarray, float]:
-    """(q, |phi|, tail mass) of f, built on the first J of f and kept on
-    it.  On the rfft half spectrum, q_k = c_k Re(conj(L_k) phi_k) / n,
+def _parseval_weights(
+    f: GriddedDensity,
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, int, int]:
+    """(q, |phi|, tail mass, w, edge, top) of f, built on the first J of f
+    and kept on it.  On the rfft half spectrum, q_k = c_k Re(conj(L_k) phi_k) / n,
     where phi is rfft(ifftshift(values)) h, L the rfft of the
     trapezoid-weighted core log-density (zero off the core, same layout)
     and c_k = 2, except c_0 = 1 and, for even n, c_(n/2) = 1 (the
     Nyquist bin, which has no mirror).  The tail mass is
-    GriddedDensity.tail_mass(), that of the tail series beyond the core."""
+    GriddedDensity.tail_mass(), that of the tail series beyond the core.
+    w = 2 pi rfftfreq(n, h) are the bins' frequencies, sorted, so the
+    decay guard's band w >= 0.98 w[-1] is the suffix w[edge:]; top is
+    the bin where w |phi| peaks, the first bin the guard reads."""
     if f._spectral is None:
         n, c, core = f.n, f.n // 2, f.core
         # ifftshift layout, grid index j at (j - c) mod n: the core wraps round 0
@@ -86,7 +93,11 @@ def _parseval_weights(f: GriddedDensity) -> tuple[np.ndarray, np.ndarray, float]
         q += np.multiply(lhat.imag, phi.imag, out=lhat.imag)
         q /= n
         q[1:(n + 1) // 2] *= 2.0
-        f._spectral = (q, np.abs(phi), f.tail_mass())
+        w = 2.0 * math.pi * np.fft.rfftfreq(n, d=f.h)
+        edge = int(np.searchsorted(w, 0.98 * w[-1]))
+        phi_abs = np.abs(phi)
+        top = int(np.argmax(w * phi_abs))
+        f._spectral = (q, phi_abs, f.tail_mass(), w, edge, top)
     return f._spectral
 
 
@@ -98,22 +109,27 @@ def jalpha_spectral(f: GriddedDensity, alpha: float) -> JAlphaEstimate:
     The integral is taken on the half spectrum by the discrete Parseval
     identity, sum_k |w_k|^alpha q_k (see _parseval_weights), which
     equals the trapezoid rule of ln p times the irfft of |w|^alpha phi
-    over the core for any law, symmetric or not.  q, |phi| and the
-    tail mass do not depend on alpha and are kept on f, so each further
-    alpha on the same density costs one power, the decay guard and one
-    weighted sum, with no FFT.  The truncated tail contribution is small
-    when the grid extent is generous.
+    over the core for any law, symmetric or not.  q, |phi|, the tail
+    mass and the frequencies do not depend on alpha and are kept on f,
+    so each further alpha on the same density costs one power
+    |w|^alpha, the decay guard on the top 2 % of the band and one
+    weighted sum, with no FFT; the guard scans the whole half spectrum
+    for its peak only when the band's maximum is not already small
+    against the bin where w |phi| peaks.  The truncated tail
+    contribution is small when the grid extent is generous.
     """
     if not 0 < alpha <= 2:
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
-    q, phi_abs, tail_mass = _parseval_weights(f)
-    w = 2.0 * math.pi * np.fft.rfftfreq(f.n, d=f.h)
+    q, phi_abs, tail_mass, w, edge, top = _parseval_weights(f)
     w_alpha = w**alpha
-    m = w_alpha * phi_abs
-    # integrability guard: |w|^alpha phi must have died out by the edge
-    edge_mag = float(np.max(m[w >= 0.98 * w[-1]]))
-    peak = float(np.max(m))
-    if peak > 0 and edge_mag > 1e-6 * peak:
+    # integrability guard: |w|^alpha phi must have died out by the edge,
+    # edge_mag <= 1e-6 times its peak.  The peak is at least its value
+    # at top, so the whole half spectrum is scanned only when edge_mag
+    # passes that first test; a NaN fails a test and raises nothing.
+    edge_mag = float(np.max(w_alpha[edge:] * phi_abs[edge:]))
+    if edge_mag > 1e-6 * (w_alpha[top] * phi_abs[top]) and edge_mag > 1e-6 * float(
+        np.max(w_alpha * phi_abs)
+    ):
         raise ArithmeticError(
             "spectral integrand has not decayed at the frequency cutoff; "
             "the law is too rough for the spectral route -- smooth it first "
@@ -121,7 +137,7 @@ def jalpha_spectral(f: GriddedDensity, alpha: float) -> JAlphaEstimate:
         )
     # numpy's pairwise sum, not BLAS: the digits do not depend on the
     # thread count
-    val = float(np.add.reduce(w_alpha * q))
+    val = float(np.add.reduce(np.multiply(w_alpha, q, out=w_alpha)))
     if val < -1e-4:
         raise ArithmeticError(
             f"spectral alpha-Fisher information came out negative ({val:.3e})"
@@ -167,7 +183,14 @@ def spectral_realization(law: RandomLaw, alpha: float) -> tuple[RandomLaw, Gridd
 
 
 def jalpha_of_law(law: RandomLaw, alpha: float) -> JAlphaEstimate:
-    """Spectral J_alpha of a law, pre-smoothing it when necessary."""
+    """Spectral J_alpha of a law, pre-smoothing it when necessary.
+
+    J is shift-invariant and a shifted law's density is its inner law's
+    values on a moved grid, so Shifted wrappers are dropped first: a
+    shifted copy reuses the inner law's density and kept weights, with
+    no FFT once those are built."""
+    while isinstance(law, Shifted):
+        law = law.law
     _, f = spectral_realization(law, alpha)
     return jalpha_spectral(f, alpha)
 

@@ -11,16 +11,21 @@ import pytest
 
 import stable_info
 from stable_info.capacity import ChannelSpec, capacity_stable
+from stable_info import density, stable
 from stable_info.cli import (
+    DEFAULT_POWER_ALPHAS,
+    DEFAULT_POWER_LAWS,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VIOLATION,
     _law_label,
+    build_parser,
     main,
     parse_law,
 )
 from stable_info.density import Cauchy, Gaussian, Laplace, SaS, Uniform
+from stable_info.gridded import GriddedDensity
 from stable_info.specfun import kappa_alpha
 
 
@@ -459,6 +464,65 @@ class TestSnapshots:
         for row, want_row in zip(rows, want_rows):
             assert len(row) == len(want_row)
             assert all(_same_cell(row[i], want_row[i]) for i in kept), (row, want_row)
+
+
+class TestParserReuse:
+    """main builds its parser once per process; the list defaults are
+    tuples, so a call leaves nothing behind for the next."""
+
+    SEQUENCE = [
+        ["sum-bound"],
+        ["sum-bound", "--laws", "laplace:1"],
+        ["sum-bound"],
+        ["power-table", "--alphas", "1.2"],
+        ["power-table"],
+    ]
+
+    def test_each_call_prints_what_a_fresh_parser_prints(self, capsys):
+        alphas, laws = list(DEFAULT_POWER_ALPHAS), list(DEFAULT_POWER_LAWS)
+        fresh = {}
+        for argv in self.SEQUENCE:
+            build_parser.cache_clear()
+            fresh[tuple(argv)] = run_cli(capsys, *argv)
+        parser = build_parser()
+        for argv in self.SEQUENCE:
+            assert run_cli(capsys, *argv) == fresh[tuple(argv)]
+        assert build_parser() is parser
+        args = parser.parse_args(["power-table"])
+        assert args.alphas == tuple(alphas) and args.laws == tuple(laws)
+        assert parser.parse_args(["sum-bound"]).laws == (Gaussian(1.0), Laplace(1.0))
+        assert DEFAULT_POWER_ALPHAS == alphas and DEFAULT_POWER_LAWS == laws
+
+
+class TestEntropyKept:
+    def test_giie_table_computes_each_entropy_once(self, monkeypatch, capsys):
+        # 40 products and 4 reference entropies read the entropies of 12
+        # densities: 8 spectral ones and the 4 references.  An entropy
+        # computation is counted by the one tail_nodes call it makes.
+        density._memo.clear()
+        entropy, tail_nodes = GriddedDensity.entropy, GriddedDensity.tail_nodes
+        reads, computed, inside = [], [], []
+
+        def counted_entropy(f):
+            reads.append(id(f))
+            inside.append(f)
+            try:
+                return entropy(f)
+            finally:
+                inside.pop()
+
+        def counted_nodes(f, *args):
+            if inside and inside[-1] is f:
+                computed.append(id(f))
+            return tail_nodes(f, *args)
+
+        monkeypatch.setattr(GriddedDensity, "entropy", counted_entropy)
+        monkeypatch.setattr(GriddedDensity, "tail_nodes", counted_nodes)
+        stable.reference_entropy.cache_clear()
+        code, out, _ = run_cli(capsys, "giie-table")
+        assert code == EXIT_OK
+        assert len(reads) == 44 and len(computed) == len(set(computed)) == 12
+        assert out == (SNAPSHOTS / "giie-table.csv").read_text()
 
 
 class TestImportCost:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stable_info import density
 from stable_info.density import (
     Cauchy,
     Gaussian,
@@ -59,6 +60,58 @@ def plain_parseval_weights(f):
     q = (lhat.real * phi.real + lhat.imag * phi.imag) / n
     q[1:(n + 1) // 2] *= 2.0
     return q, np.abs(phi), f.tail_mass()
+
+
+def plain_jalpha_spectral(f, alpha, weights=None):
+    """jalpha_spectral as it was before it kept w and the guard's band
+    start: w rebuilt, the band a boolean mask, the peak over the whole
+    band at every alpha.  (value, edge magnitude) or its ArithmeticError;
+    weights are (q, |phi|, tail mass), plain_parseval_weights(f) when
+    None."""
+    q, phi_abs, _ = plain_parseval_weights(f) if weights is None else weights
+    w = 2.0 * math.pi * np.fft.rfftfreq(f.n, d=f.h)
+    w_alpha = w**alpha
+    m = w_alpha * phi_abs
+    edge_mag = float(np.max(m[w >= 0.98 * w[-1]]))
+    peak = float(np.max(m))
+    if peak > 0 and edge_mag > 1e-6 * peak:
+        raise ArithmeticError(
+            "spectral integrand has not decayed at the frequency cutoff; "
+            "the law is too rough for the spectral route -- smooth it first "
+            "or use the finite-difference evaluator"
+        )
+    val = float(np.add.reduce(w_alpha * q))
+    if val < -1e-4:
+        raise ArithmeticError(f"spectral alpha-Fisher information came out negative ({val:.3e})")
+    return max(val, 0.0), edge_mag
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the ArithmeticError it raised."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def kept_route(f, alpha):
+    j = jalpha_spectral(f, alpha)
+    return j.value, j.diagnostics["edge_magnitude"]
+
+
+# (law, alpha of its spectral grid)
+PARSEVAL_LAWS = [
+    (SaS(1.2, 1.0), 1.2),
+    (SaS(1.8, 1.0), 1.8),
+    (Cauchy(1.0), 1.5),
+    (Sum(SaS(1.8, 1.0), Gaussian(1.5)), 1.5),
+    (Scaled(SaS(1.5, 1.0), -2.0), 1.5),
+    (Shifted(SaS(1.5, 1.0), 3.0), 1.5),
+    (Laplace(1.0), 1.5),
+    (Gaussian(1.0), 1.0),
+    (SaS(0.6, 1.0), 0.6),
+]
+PARSEVAL_IDS = ["S1.2", "S1.8", "cauchy", "sum-53-terms", "scaled-negative", "shifted", "smoothed", "no-tail", "2^17"]
 
 
 class TestClosedForm:
@@ -197,21 +250,7 @@ class TestSpectral:
 
 
 class TestParsevalWeights:
-    @pytest.mark.parametrize(
-        "law, alpha",
-        [
-            (SaS(1.2, 1.0), 1.2),
-            (SaS(1.8, 1.0), 1.8),
-            (Cauchy(1.0), 1.5),
-            (Sum(SaS(1.8, 1.0), Gaussian(1.5)), 1.5),
-            (Scaled(SaS(1.5, 1.0), -2.0), 1.5),
-            (Shifted(SaS(1.5, 1.0), 3.0), 1.5),
-            (Laplace(1.0), 1.5),
-            (Gaussian(1.0), 1.0),
-            (SaS(0.6, 1.0), 0.6),
-        ],
-        ids=["S1.2", "S1.8", "cauchy", "sum-53-terms", "scaled-negative", "shifted", "smoothed", "no-tail", "2^17"],
-    )
+    @pytest.mark.parametrize("law, alpha", PARSEVAL_LAWS, ids=PARSEVAL_IDS)
     def test_weights_are_the_plain_formula(self, law, alpha):
         # on a fresh copy, so neither side reads the other's kept weights
         _, f = spectral_realization(law, alpha)
@@ -227,6 +266,136 @@ class TestParsevalWeights:
         f = GriddedDensity(float(x[0]), float(x[1] - x[0]), np.exp(-(x**2) / 2.0) / math.sqrt(2.0 * math.pi))
         new, old = _parseval_weights(f), plain_parseval_weights(f)
         assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
+
+
+class FFTCounter:
+    """Counts the calls of every function of numpy.fft, rfftfreq included."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        for name in np.fft.__all__:
+            fn = getattr(np.fft, name)
+            if callable(fn):
+                monkeypatch.setattr(np.fft, name, self.counted(name, fn))
+
+    def counted(self, name, fn):
+        def call(*args, **kwargs):
+            self.calls.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+
+class TestFurtherAlpha:
+    """After the first J of a density, a further alpha and a shifted copy
+    of its law cost no FFT, and give the bits of the plain route."""
+
+    @pytest.mark.parametrize("law, grid_alpha", PARSEVAL_LAWS, ids=PARSEVAL_IDS)
+    def test_bits_of_the_plain_route(self, law, grid_alpha):
+        _, f = spectral_realization(law, grid_alpha)
+        f = GriddedDensity(f.x0, f.h, f.values, f.tail)
+        weights = plain_parseval_weights(f)
+        for alpha in (0.5, 1.2, 1.5, 1.8, 2.0):
+            want = outcome(plain_jalpha_spectral, f, alpha, weights)
+            assert outcome(kept_route, f, alpha) == want
+
+    @pytest.mark.parametrize(
+        "law, grid",
+        [
+            # |w|^1.5 phi of S(1, 1) has not decayed by this grid's cutoff
+            (SaS(1.0, 1.0), GridSpec(1024, 83.0)),
+            # Laplace and Uniform without the smoothing
+            (Laplace(1.0), None),
+            (Uniform(1.0), None),
+        ],
+        ids=["coarse-S1", "laplace", "uniform"],
+    )
+    def test_rough_laws_are_rejected_alike(self, law, grid):
+        f = realize(law, grid)
+        f = GriddedDensity(f.x0, f.h, f.values, f.tail)
+        for alpha in (0.5, 1.5, 2.0):
+            want = outcome(plain_jalpha_spectral, f, alpha)
+            assert outcome(kept_route, f, alpha) == want
+        assert outcome(kept_route, f, 2.0)[0] is ArithmeticError
+
+    @pytest.mark.parametrize("where", ["edge", "middle", "top", "spike", "inf", "band-start"])
+    def test_doctored_spectra_are_judged_alike(self, where):
+        # a NaN at the edge band, mid-band or at the bin the guard reads
+        # first; a spike that makes the peak larger than that bin's value,
+        # with the edge between 1e-6 times each; an infinite bin; the
+        # band's largest value on its first bin, a larger one just before
+        _, f = spectral_realization(SaS(1.5, 1.0), 1.5)
+        f = GriddedDensity(f.x0, f.h, f.values, f.tail)
+        q, phi_abs, tail_mass, w, edge, top = _parseval_weights(f)
+        phi_abs = phi_abs.copy()
+        if where == "edge":
+            phi_abs[-3] = math.nan
+        elif where == "middle":
+            phi_abs[w.size // 3] = math.nan
+        elif where == "top":
+            phi_abs[top] = math.nan
+        elif where == "inf":
+            phi_abs[w.size // 2] = math.inf
+        elif where == "spike":
+            phi_abs[w.size // 2] = 1e3 * phi_abs[top]
+            phi_abs[edge:] = 1e-5 * phi_abs[top] * (w[top] / w[edge:]) ** 1.5
+        else:
+            start = int(np.argmax(w >= 0.98 * w[-1]))
+            phi_abs[start - 1 :] = 0.0
+            phi_abs[start - 1 : start + 1] = 2e-12, 1e-12
+        f._spectral = (q, phi_abs, tail_mass, w, edge, top)
+        for alpha in (0.5, 1.5, 2.0):
+            want = outcome(plain_jalpha_spectral, f, alpha, (q, phi_abs, tail_mass))
+            # by repr, exact for floats, under which NaN equals NaN
+            assert repr(outcome(kept_route, f, alpha)) == repr(want)
+        if where == "spike":
+            # the edge is above 1e-6 times the top bin, below 1e-6 times the peak
+            assert outcome(kept_route, f, 1.5)[1] > 1e-6 * w[top] ** 1.5 * phi_abs[top]
+
+    def test_no_fft_after_the_first_j(self, monkeypatch):
+        law = SaS(1.3, 0.9)
+        j = {a: jalpha_of_law(law, a).value for a in (1.3, 1.1, 1.5, 1.7)}
+        density._memo.clear()
+        jalpha_of_law(law, 1.3)
+        fft = FFTCounter(monkeypatch)
+        for a in (1.1, 1.5, 1.7):
+            assert jalpha_of_law(law, a).value == j[a]
+        for delta in (0.5, -3.0):
+            assert jalpha_of_law(Shifted(law, delta), 1.3).value == j[1.3]
+        assert fft.calls == []
+
+    def test_the_counter_sees_a_first_j(self, monkeypatch):
+        _, f = spectral_realization(SaS(1.5, 1.0), 1.5)
+        f = GriddedDensity(f.x0, f.h, f.values, f.tail)
+        fft = FFTCounter(monkeypatch)
+        jalpha_spectral(f, 1.5)
+        assert fft.calls.count("rfft") == 2 and fft.calls.count("rfftfreq") == 1
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            Shifted(SaS(1.5, 1.0), 0.375),
+            Shifted(Shifted(Laplace(1.0), 0.375), -1.25),
+            Shifted(Uniform(1.0), 0.375),
+        ],
+        ids=["stable", "nested", "smoothed"],
+    )
+    def test_shift_leaves_no_memo_key(self, law):
+        density._memo.clear()
+        j = jalpha_of_law(law, 1.5).value
+        inner = law
+        while isinstance(inner, Shifted):
+            inner = inner.law
+        assert j == jalpha_of_law(inner, 1.5).value
+
+        def has_shift(x):
+            if isinstance(x, Shifted):
+                return True
+            if isinstance(x, Sum):
+                return has_shift(x.law1) or has_shift(x.law2)
+            return isinstance(x, Scaled) and has_shift(x.law)
+
+        assert not any(has_shift(key[0]) for key in density._memo)
 
 
 class TestSmoothing:

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,22 @@ def test_time_cli_counts_minor_page_faults(monkeypatch):
         assert faults["q1"] <= faults["median"] <= faults["q3"]
     # 64 MB is 16,384 pages of 4 KB, or 32 huge pages of 2 MB
     assert out["alloc"]["minflt"]["median"] - out["noop"]["minflt"]["median"] >= 32
+
+
+def test_time_cli_records_the_stdout_digest(monkeypatch):
+    argv = ["-m", "stable_info.cli", "sum-bound", "--laws", "gaussian:1"]
+    monkeypatch.setattr(bench_record, "CLI_COMMANDS", {"sum-bound": argv})
+    out, ok = bench_record.time_cli(ROOT, 2)
+    direct = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=bench_record.single_thread_env(ROOT),
+        capture_output=True, check=True,
+    )
+    assert ok and direct.stdout.startswith(b"law,")
+    assert out["sum-bound"]["stdout_sha256"] == hashlib.sha256(direct.stdout).hexdigest()
+
+
+def test_time_cli_fails_on_stdout_that_differs_between_repeats(monkeypatch):
+    commands = {"random": ["-c", "import os; print(os.urandom(8).hex())"]}
+    monkeypatch.setattr(bench_record, "CLI_COMMANDS", commands)
+    out, ok = bench_record.time_cli(ROOT, 2)
+    assert not ok and out["random"]["stdout_sha256"] is None and out["random"]["exit_codes"] == [0, 0]

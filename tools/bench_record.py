@@ -10,8 +10,9 @@ perfbench/run.py --runs times untraced, keeping the median and
 quartiles of each end-to-end metric over the runs, and --runs times
 traced, keeping the median of each per-layer metric.  It also times
 the default CLI commands (and a bare import of the CLI) as
-subprocesses, start-up included, --cli-repeats times each, and counts
-each one's minor page faults.  The CLI and
+subprocesses, start-up included, --cli-repeats times each, counts
+each one's minor page faults and records the sha256 of its stdout, so
+two files show whether the commands print the same bytes.  The CLI and
 the benchmark workers both run single-threaded (OMP, OpenBLAS and MKL
 threads set to 1).  The file also holds nproc, the python, numpy
 and scipy versions, and src_lines, the line count of
@@ -19,12 +20,14 @@ src/stable_info/*.py as `wc -l` gives it (the ROADMAP tracks it).
 
 The output is written to --out (default: the checkout).  Exits 1 if a
 benchmark run fails, reports "correct": false or a failed operation, or
-a CLI command exits non-zero; the file is written either way.
+a CLI command exits non-zero or prints different stdout on its repeats;
+the file is written either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -116,11 +119,13 @@ def record_workload(repo: Path, workload: str, args) -> tuple[dict, bool]:
 
 def time_cli(repo: Path, repeats: int) -> tuple[dict, bool]:
     """Wall seconds of each CLI command as a subprocess, start-up included,
-    and its minor page faults (the growth of RUSAGE_CHILDREN's ru_minflt
-    over the run), which stay steady where wall time drifts."""
+    its minor page faults (the growth of RUSAGE_CHILDREN's ru_minflt
+    over the run), which stay steady where wall time drifts, and the
+    sha256 of its stdout (None when the repeats print different bytes,
+    which fails the recording)."""
     env, ok, out = single_thread_env(repo), True, {}
     for name, argv in CLI_COMMANDS.items():
-        times, faults, codes = [], [], []
+        times, faults, codes, digests = [], [], [], set()
         for _ in range(repeats):
             f0 = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
             t0 = time.perf_counter()
@@ -128,11 +133,17 @@ def time_cli(repo: Path, repeats: int) -> tuple[dict, bool]:
             times.append(time.perf_counter() - t0)
             faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - f0)
             codes.append(proc.returncode)
-        ok = ok and not any(codes)
-        out[name] = {"unit": "s", **spread(times), "minflt": spread(faults), "exit_codes": codes}
+            digests.add(hashlib.sha256(proc.stdout).hexdigest())
+        digest = digests.pop() if len(digests) == 1 else None
+        ok = ok and not any(codes) and digest is not None
+        out[name] = {
+            "unit": "s", **spread(times), "minflt": spread(faults), "exit_codes": codes,
+            "stdout_sha256": digest,
+        }
         print(
             f"cli {name}: {statistics.median(times):.3f} s, "
-            f"{statistics.median(faults):.0f} minor faults, exit {codes}",
+            f"{statistics.median(faults):.0f} minor faults, exit {codes}, "
+            f"stdout {digest or 'differs between repeats'}",
             file=sys.stderr,
         )
     return out, ok
