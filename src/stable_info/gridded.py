@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import solve, solve_banded
 
 __all__ = ["GridSpec", "TailLaw", "GriddedDensity"]
 
@@ -39,6 +38,9 @@ _TAIL_W[:4] *= np.array([17.0, 59.0, 43.0, 49.0]) / 48.0
 _TAIL_W[-4:] *= np.array([49.0, 43.0, 59.0, 17.0]) / 48.0
 
 _NO_TAIL = (np.empty(0), np.empty(0), np.empty(0))
+
+# the pole 2 - sqrt(3) of the uniform cubic spline's [1, 4, 1] rows
+_SPLINE_POLE = 2.0 - 3.0**0.5
 
 
 def _trapezoid(y: np.ndarray, h: float) -> float:
@@ -162,43 +164,61 @@ _Cubic = namedtuple("_Cubic", "x c")
 
 
 def _not_a_knot(x: np.ndarray, y: np.ndarray, start: int) -> np.ndarray:
-    """The (4, m - 1 - start) coefficients of scipy's not-a-knot
-    CubicSpline through the m knots x and values y, bit for bit, for the
-    intervals from knot start on: CubicSpline(x, y).c[:, start:].
+    """The (4, m - 1 - start) coefficients of the not-a-knot cubic spline
+    through the m uniform knots x and values y, for the intervals from
+    knot start on: CubicSpline(x, y).c[:, start:] to roundoff.
 
-    The knot slopes s come from the same linear system over all m knots,
-    built the same way and handed to the same scipy.linalg solver (the
-    (3, m) band for m > 3, the 3 x 3 parabola for m = 3; m = 2 is the
-    line), and the rows are formed as CubicHermiteSpline forms them."""
+    The knot slopes s solve the spline's linear system over all m knots
+    (m = 2 is the line, m = 3 the one parabola).  With uniform knots its
+    interior rows are s[i-1] + 4 s[i] + s[i+1] = 3 (slope[i-1] + slope[i]),
+    and 1 + 4z + z^2 factors as (1 + rz)(z + r)/r with the pole
+    r = 2 - sqrt(3) (Unser, Aldroubi & Eden 1993): a causal and an
+    anticausal recursive filter of pole -r, each run as 5 in-place
+    doubling steps (32 taps; r^32 ~ 5e-19), give one solution of those
+    rows.  The two not-a-knot end rows, s[0] + 2 s[1] and
+    2 s[m-2] + s[m-1], are then met by adding the rows' homogeneous
+    solutions (-r)^i and (-r)^(m-1-i), a 2 x 2 solve.  The spline rows
+    are formed as CubicHermiteSpline forms them."""
     m = x.size
     if m < 2:
         raise ValueError(f"a spline needs at least 2 knots, got {m}")
     if not 0 <= start <= m - 2:
         raise ValueError(f"no spline interval starts at knot {start} of {m}")
     dx = np.diff(x)
-    slope = np.diff(y) / dx
+    # slope, the knot slopes s and the doubling steps' products share one
+    # (3, m) work buffer, the size of the band a banded solver takes.
+    # Freeing a block this large raises glibc's heap trim threshold, which
+    # spares later N-point temporaries (the Monte Carlo's g(P) calls) from
+    # being faulted in anew on every call
+    work = np.empty((3, m))
+    slope, s, tmp = work[0, 1:], work[1], work[2]
+    np.divide(np.diff(y), dx, out=slope)
     if m == 2:
-        s = np.array([slope[0], slope[0]])
+        s[:] = slope[0]
     elif m == 3:
         a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
         b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
-        s = solve(a, b, check_finite=False)
+        s[:] = np.linalg.solve(a, b)
     else:
-        # rows: upper diagonal, diagonal, lower diagonal; the first and
-        # last equations are the not-a-knot conditions
-        ab = np.zeros((3, m))
-        b = np.empty(m)
-        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        ab[0, 2:] = dx[:-1]
-        ab[-1, :-2] = dx[1:]
-        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        d = x[2] - x[0]
-        ab[1, 0], ab[0, 1] = dx[1], d
-        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-        d = x[-1] - x[-3]
-        ab[1, -1], ab[-1, -2] = dx[-2], d
-        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+        s[0] = s[-1] = 0.0
+        np.add(slope[:-1], slope[1:], out=s[1:-1])
+        s *= 3.0 * _SPLINE_POLE
+        # causal, then anticausal: the same pass on the reversed view
+        for v in (s, s[::-1]):
+            p = -_SPLINE_POLE
+            for k in (1, 2, 4, 8, 16):
+                v[k:] += np.multiply(v[:-k], p, out=tmp[k:])
+                p *= p
+        # the end rows' residuals d0, d1 and the symmetric 2 x 2 matrix
+        # [[a, b], [b, a]] of the homogeneous solutions in them
+        d0 = 0.5 * (5.0 * slope[0] + slope[1]) - (s[0] + 2.0 * s[1])
+        d1 = 0.5 * (slope[-2] + 5.0 * slope[-1]) - (2.0 * s[-2] + s[-1])
+        p = -_SPLINE_POLE
+        a, b = 1.0 + 2.0 * p, p ** (m - 2) * (2.0 + p)
+        det = a * a - b * b
+        g = p ** np.arange(min(m, 40))
+        s[: g.size] += (a * d0 - b * d1) / det * g
+        s[m - g.size :] += (a * d1 - b * d0) / det * g[::-1]
     dx, slope, s0 = dx[start:], slope[start:], s[start:-1]
     t = (s0 + s[start + 1 :] - 2 * slope) / dx
     c = np.empty((4, m - 1 - start))
@@ -297,9 +317,9 @@ class GriddedDensity:
         symmetric): cubic interpolation inside the accurate region, tail
         formula outside (floor-clamped when no tail law).
 
-        The spline is scipy's not-a-knot CubicSpline (_not_a_knot)
-        through the contiguous central run of values clearly above the
-        FFT/underflow noise floor (a cubic through noise-level samples
+        The spline is the not-a-knot cubic spline (_not_a_knot, scipy's
+        CubicSpline to roundoff) through the contiguous central run of
+        values clearly above the FFT/underflow noise floor (a cubic through noise-level samples
         oscillates without bound in log space); only its intervals from
         the center out are kept, so it reads d up to r, the accurate
         radius or the last knot.  The knots are uniform: interval

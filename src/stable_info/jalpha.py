@@ -163,7 +163,12 @@ def spectral_realization(law: RandomLaw, alpha: float) -> tuple[RandomLaw, Gridd
     smoothed characteristic function has decayed below ~1e-13 at the
     grid's Nyquist frequency pi/h; weaker smoothing leaves ringing in
     the inverted integrand.  Returns the (possibly smoothed) law and
-    its density."""
+    its density.
+
+    J and the entropy are shift-invariant and a shifted law's density is
+    its inner law's values on a moved grid, so Shifted wrappers are
+    dropped first: a shifted copy reuses the inner law's density and
+    kept weights, with no FFT once those are built."""
 
     def smooth(x):
         if isinstance(x, (Shifted, Scaled)):
@@ -172,6 +177,8 @@ def spectral_realization(law: RandomLaw, alpha: float) -> tuple[RandomLaw, Gridd
             return smooth(x.law1) or smooth(x.law2)
         return isinstance(x, (Gaussian, SaS, Cauchy))
 
+    while isinstance(law, Shifted):
+        law = law.law
     grid = dens.plan_grid(law, alpha)
     if not smooth(law):
         gam = max(
@@ -183,14 +190,8 @@ def spectral_realization(law: RandomLaw, alpha: float) -> tuple[RandomLaw, Gridd
 
 
 def jalpha_of_law(law: RandomLaw, alpha: float) -> JAlphaEstimate:
-    """Spectral J_alpha of a law, pre-smoothing it when necessary.
-
-    J is shift-invariant and a shifted law's density is its inner law's
-    values on a moved grid, so Shifted wrappers are dropped first: a
-    shifted copy reuses the inner law's density and kept weights, with
-    no FFT once those are built."""
-    while isinstance(law, Shifted):
-        law = law.law
+    """Spectral J_alpha of a law, pre-smoothing it when necessary
+    (spectral_realization, which drops Shifted wrappers)."""
     _, f = spectral_realization(law, alpha)
     return jalpha_spectral(f, alpha)
 

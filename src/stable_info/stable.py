@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebpts1, chebvander
-from scipy.special import zeta
 
 from .gridded import GriddedDensity, GridSpec, TailLaw
-from .specfun import gamma_fn
+from .specfun import gamma_fn, hurwitz_zeta
 
 __all__ = [
     "StableParams",
@@ -139,14 +138,16 @@ def _alias_images(x, tail: TailLaw, L: float) -> np.ndarray:
     Chebyshev nodes only and interpolated as chebinterpolate does.
 
     The sum is even and the nodes are exact negatives of each other, so
-    zeta is taken at the 17 nodes t >= 0 and mirrored.  Only the even
-    coefficients are kept: T_2k(t) = T_k(2t^2 - 1) makes them a series of
-    half the degree in 2(x/L)^2 - 1, summed in chebval's order in place."""
+    zeta is taken at the 17 nodes t >= 0 and mirrored, at q = 1 + u and
+    1 - u in one call.  Only the even coefficients are kept:
+    T_2k(t) = T_k(2t^2 - 1) makes them a series of half the degree in
+    2(x/L)^2 - 1, summed in chebval's order in place."""
     e, c = np.array(((tail.exponent, tail.coefficient),) + tail.extra).T
     s = e + 1.0
     weights = c * (2.0 * L) ** (-s)
-    u = _ALIAS_NODES[_ALIAS_DEGREE // 2 :, None] / 2.0
-    rows = zeta(s, 1.0 + u) + zeta(s, 1.0 - u)
+    u = _ALIAS_NODES[_ALIAS_DEGREE // 2 :] / 2.0
+    z = hurwitz_zeta(s, np.concatenate((1.0 + u, 1.0 - u)))
+    rows = z[: u.size] + z[u.size :]
     even = np.dot(_ALIAS_VT, np.concatenate((rows[:0:-1], rows)) @ weights)[::2]
     even[0] /= _ALIAS_DEGREE + 1
     even[1:] /= 0.5 * (_ALIAS_DEGREE + 1)

@@ -635,7 +635,7 @@ class TestQuadOracle:
 class TestEmpiricalRoute:
     @pytest.mark.parametrize(
         "alpha, value",
-        [(1.2, 0.9446902916703227), (1.5, 1.3150398896073643), (2.0, math.inf)],
+        [(1.2, 0.9446902916703224), (1.5, 1.3150398896073643), (2.0, math.inf)],
     )
     def test_sampled_power_pinned(self, alpha, value):
         # recorded before samples were held as an array, so the route is bit
@@ -643,7 +643,9 @@ class TestEmpiricalRoute:
         # the tail series from the last core point, and again when the
         # root started at the log-moment and stepped on the cubic: a
         # different last step lands elsewhere within ROOT_TOL
-        # (3e-16 and 4.9e-14 relative)
+        # (3e-16 and 4.9e-14 relative); and at alpha 1.2 when Gamma, zeta
+        # and the spline slopes left scipy, each moving at roundoff
+        # (-3.5e-16 relative)
         assert alpha_power(SAMPLED, alpha).value == value
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0])

@@ -525,20 +525,72 @@ class TestEntropyKept:
         assert out == (SNAPSHOTS / "giie-table.csv").read_text()
 
 
+# one call of each kind that the benchmark worker builds, then every
+# default CLI command, in a process where importing scipy raises
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+commands = json.loads(sys.argv[1])
+sys.path.insert(0, sys.argv[2])
+import spec, worker
+seen = set()
+for workload in spec.WORKLOADS:
+    for op in spec.workload(workload, 1):
+        law = op.get("law") or [None]
+        key = (op["kind"], op.get("estimator"), law[0] == "sas")
+        if op["kind"] == "cli" or key in seen:
+            continue
+        seen.add(key)
+        call, _ = worker.build(op)
+        call()
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = worker.cli.main(argv)
+    assert code == 0, (argv, code)
+print(json.dumps(sorted(seen, key=repr)))
+"""
+
+
 class TestImportCost:
     def test_cli_import_skips_scipy_optimize_and_interpolate(self):
-        # each is about 0.15 s of start-up; the package builds its spline
-        # and solves its root without them.  Its FFTs are numpy's:
-        # scipy.fft alone adds about 27 ms, and scipy.signal loads it
+        # scipy is about 0.25 s of start-up, nearly all of it the array-API
+        # layer that scipy.special and scipy.linalg load; the package's
+        # special functions, spline and root are numpy and the stdlib, and
+        # its FFTs numpy's
         src = str(Path(stable_info.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = "import sys, stable_info.cli; print(' '.join(sorted(sys.modules)))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         loaded = out.stdout.split()
         assert "stable_info.cli" in loaded
-        heavy = [
-            m
-            for m in loaded
-            if m.startswith(("scipy.optimize", "scipy.interpolate", "scipy.fft", "scipy.signal"))
-        ]
-        assert heavy == []
+        assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+    def test_benchmark_calls_and_default_commands_run_without_scipy(self):
+        # a lazy import of scipy inside an operation would move its
+        # start-up into the timed region; here it raises ImportError
+        root = Path(__file__).resolve().parents[1]
+        sys.path.insert(0, str(root / "tools"))
+        try:
+            import bench_record
+        finally:
+            sys.path.remove(str(root / "tools"))
+        commands = [argv[2:] for argv in bench_record.CLI_COMMANDS.values() if argv[0] == "-m"]
+        src = str(Path(stable_info.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(commands), str(root / "perfbench")],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr[-3000:]
+        kinds = {tuple(k) for k in json.loads(out.stdout.splitlines()[-1])}
+        assert len(commands) == 9
+        assert {
+            ("jalpha", None, True),
+            ("alpha_power", None, False),
+            ("alpha_power", None, True),
+            ("estimator", "myriad", False),
+            ("estimator", "ml_identity", False),
+            ("giie_mix", None, False),
+            ("gfii", None, False),
+            ("debruijn", None, False),
+        } <= kinds

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stable_info import density
+from stable_info.bounds import giie_product
 from stable_info.density import (
     Cauchy,
     Gaussian,
@@ -507,3 +508,16 @@ class TestShiftInvariance:
         law = SaS(0.6, 1.0)
         assert jalpha_of_law(Shifted(law, 0.5), 1.5).value == jalpha_of_law(law, 1.5).value
 
+
+    def test_spectral_realization_drops_shifts(self):
+        density._memo.clear()
+        law, f = spectral_realization(Shifted(SaS(1.5, 1.0), 3.0), 1.5)
+        assert law == SaS(1.5, 1.0)
+        assert f is spectral_realization(SaS(1.5, 1.0), 1.5)[1]
+        assert not any(isinstance(key[0], Shifted) for key in density._memo)
+
+    @pytest.mark.parametrize("law", [SaS(1.5, 1.0), Laplace(1.0)], ids=repr)
+    def test_giie_product_is_shift_invariant(self, law):
+        a = giie_product(Shifted(law, 2.5), 1.5)
+        b = giie_product(law, 1.5)
+        assert (a.lhs, a.rhs, a.slack, a.method) == (b.lhs, b.rhs, b.slack, b.method)

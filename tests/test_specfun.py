@@ -1,11 +1,19 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stable_info.specfun import EULER_GAMMA, digamma, gamma_fn, gauss_2f1, kappa_alpha
+from stable_info.specfun import (
+    EULER_GAMMA,
+    digamma,
+    gamma_fn,
+    gauss_2f1,
+    hurwitz_zeta,
+    kappa_alpha,
+)
 
 
 class TestGamma:
@@ -39,15 +47,28 @@ class TestDigamma:
     def test_euler_gamma_constant(self):
         assert EULER_GAMMA == pytest.approx(float(mpmath.euler), abs=1e-16)
 
+    def test_exact_at_small_integers(self):
+        # psi(n) = -gamma_e + sum_{k<n} 1/k, so kappa_2 is exactly 1
+        assert digamma(1.0) == -EULER_GAMMA
+        assert digamma(2.0) + EULER_GAMMA == 1.0
+        for n in range(3, 10):
+            assert digamma(float(n)) == math.fsum(1.0 / k for k in range(1, n)) - EULER_GAMMA
+
+    def test_against_mpmath(self):
+        # absolute error near the zero at 1.4616, relative beyond 1; the
+        # worst measured over this sweep is 5.1e-16
+        x = np.concatenate([np.geomspace(1e-3, 1e3, 400), np.linspace(0.05, 2.0, 400)])
+        for xi in x:
+            expect = float(mpmath.digamma(mpmath.mpf(xi)))
+            assert abs(digamma(float(xi)) - expect) <= 1e-15 * max(1.0, abs(expect))
+
 
 class TestGauss2F1:
     def test_trivial_cases(self):
-        assert gauss_2f1(1.0, 2.0, 3.0, 0.0) == 1.0
+        assert gauss_2f1(0.5, 0.5, 1.5, 0.0) == pytest.approx(1.0, rel=1e-15)
         # 2F1(1, 1; 2; z) = -ln(1-z)/z
-        z = 0.37
-        assert gauss_2f1(1.0, 1.0, 2.0, z) == pytest.approx(
-            -math.log(1.0 - z) / z, rel=1e-12
-        )
+        for z in (-0.37, -50.0):
+            assert gauss_2f1(1.0, 1.0, 2.0, z) == pytest.approx(-math.log(1.0 - z) / z, rel=1e-15)
 
     @pytest.mark.parametrize(
         "a,b,c,z",
@@ -56,7 +77,6 @@ class TestGauss2F1:
             (0.5, 0.5, 1.5, -10.0),
             (0.2, 0.2, 1.2, -0.9),
             (1.0, 1.0, 2.0, -50.0),
-            (0.6, 0.9, 1.7, 0.4),
         ],
     )
     def test_against_mpmath(self, a, b, c, z):
@@ -77,8 +97,8 @@ class TestGauss2F1:
         ],
     )
     def test_large_negative_argument(self, a, b, c, z):
-        # z/(z-1) lies within 1e-4 of 1 here, beyond a plain power series;
-        # from |z| = 1e8 on, the 1/z expansion takes over from scipy
+        # z/(z-1) lies within 1e-4 of 1 here, where the series in
+        # 1/(1 - z) takes over
         expect = float(mpmath.hyp2f1(a, b, c, z))
         assert gauss_2f1(a, b, c, z) == pytest.approx(expect, rel=1e-10)
 
@@ -87,6 +107,28 @@ class TestGauss2F1:
             gauss_2f1(1.0, 1.0, -2.0, 0.5)
         with pytest.raises(ValueError):
             gauss_2f1(1.0, 1.0, 2.0, 1.0)
+
+    def test_other_shapes_refused(self):
+        # only 2F1(b, b; b + 1; z) with b in (0, 1] and z <= 0 is taken
+        for a, b, c, z in [
+            (0.6, 0.9, 1.7, -0.4),
+            (0.5, 0.5, 2.0, -1.0),
+            (1.5, 1.5, 2.5, -1.0),
+            (0.0, 0.0, 1.0, -1.0),
+            (0.6, 0.6, 1.6, 0.4),
+            (0.6, 0.6, 1.6, math.nan),
+        ]:
+            with pytest.raises(ValueError):
+                gauss_2f1(a, b, c, z)
+
+    @pytest.mark.parametrize("b", [0.05, 0.2, 0.5, 0.8, 1.0])
+    def test_oracle_sweep(self, b):
+        # t from 1e-10 to 1e15, densely across the switch of series at
+        # t = 1; the worst measured is 7.1e-16
+        ts = np.concatenate([np.geomspace(1e-10, 1e15, 200), np.linspace(0.9, 1.1, 41)])
+        for t in ts:
+            expect = float(mpmath.hyp2f1(b, b, b + 1.0, -mpmath.mpf(t)))
+            assert gauss_2f1(b, b, b + 1.0, -float(t)) == pytest.approx(expect, rel=1e-14, abs=0)
 
     @given(
         st.floats(min_value=0.1, max_value=1.0),
@@ -101,9 +143,26 @@ class TestGauss2F1:
         assert val == pytest.approx(expect, rel=1e-8)
 
 
+class TestHurwitzZeta:
+    def test_against_mpmath(self):
+        # the range the alias images read: s = 1 + k alpha and q = 1 -+ u,
+        # u in [0, 1/2]; the worst measured is 6.2e-16, scipy's 7.0e-16
+        s = np.linspace(1.4, 41.0, 25)
+        q = np.linspace(0.5, 1.5, 21)
+        z = hurwitz_zeta(s, q)
+        assert z.shape == (q.size, s.size)
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s):
+                expect = mpmath.zeta(mpmath.mpf(sj), mpmath.mpf(qi))
+                assert abs(float((z[i, j] - expect) / expect)) <= 2e-15
+
+    def test_riemann_zeta_at_two(self):
+        assert hurwitz_zeta([2.0], [1.0])[0, 0] == pytest.approx(math.pi**2 / 6.0, rel=2e-16)
+
+
 class TestKappa:
     def test_alpha2_is_one(self):
-        assert abs(kappa_alpha(2.0) - 1.0) <= 1e-10
+        assert kappa_alpha(2.0) == 1.0
 
     def test_value_at_1_8(self):
         # e^{(alpha-1)(psi(alpha)+gamma_e)-1} at alpha = 1.8

@@ -19,7 +19,7 @@ from stable_info.density import (
     realize,
 )
 from stable_info.gridded import GriddedDensity, GridSpec
-from stable_info.specfun import gamma_fn
+from stable_info.specfun import gamma_fn, hurwitz_zeta
 from stable_info.stable import (
     _ALIAS_DEGREE,
     StableParams,
@@ -59,8 +59,7 @@ def full_alias_interpolant(x, alpha, gamma, L):
     weights = c * (2.0 * L) ** (-s)
 
     def image_sum(t):
-        u = t[:, None] / 2.0
-        return (zeta(s, 1.0 + u) + zeta(s, 1.0 - u)) @ weights
+        return (hurwitz_zeta(s, 1.0 + t / 2.0) + hurwitz_zeta(s, 1.0 - t / 2.0)) @ weights
 
     return Chebyshev.interpolate(image_sum, _ALIAS_DEGREE)(x / L)
 
@@ -87,13 +86,13 @@ def plain_alias_images(x, tail, L):
     """_alias_images as it was before it took zeta at half the nodes and
     summed the even series in place: Chebyshev.interpolate of the image
     sum at all 33 nodes, its even coefficients evaluated by Chebyshev's
-    call.  The reference the new one must match bit for bit."""
+    call, with zeta taken at 1 + u and at 1 - u in two calls.  The
+    reference the new one must match bit for bit."""
     s, c = tail_terms(tail)
     weights = c * (2.0 * L) ** (-s)
 
     def image_sum(t):
-        u = t[:, None] / 2.0
-        return (zeta(s, 1.0 + u) + zeta(s, 1.0 - u)) @ weights
+        return (hurwitz_zeta(s, 1.0 + t / 2.0) + hurwitz_zeta(s, 1.0 - t / 2.0)) @ weights
 
     even = Chebyshev(Chebyshev.interpolate(image_sum, _ALIAS_DEGREE).coef[::2])
     return even(2.0 * (x / L) ** 2 - 1.0)
