@@ -156,9 +156,6 @@ class TestHurwitzZeta:
                 expect = mpmath.zeta(mpmath.mpf(sj), mpmath.mpf(qi))
                 assert abs(float((z[i, j] - expect) / expect)) <= 2e-15
 
-    def test_riemann_zeta_at_two(self):
-        assert hurwitz_zeta([2.0], [1.0])[0, 0] == pytest.approx(math.pi**2 / 6.0, rel=2e-16)
-
 
 class TestKappa:
     def test_alpha2_is_one(self):
