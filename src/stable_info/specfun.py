@@ -1,10 +1,11 @@
 """Special functions used by the closed-form expressions, in numpy and
 the standard library.
 
-Gamma is math.gamma.  Digamma takes the recurrence up to x >= 10, then
-the asymptotic series, and is exact at the small integers where its
-value is the harmonic sum.  The Hurwitz zeta function is Euler-Maclaurin
-summation (Johansson 2015).  Of the Gauss hypergeometric function only
+Gamma is math.gamma.  Digamma is exact at the small integers, where its
+value is the harmonic sum; below 2 it is its Taylor series about its
+root, good to about an ulp there, and from 2 up the recurrence to
+x >= 10, then the asymptotic series.  The Hurwitz zeta function is
+Euler-Maclaurin summation (Johansson 2015).  Of the Gauss hypergeometric function only
 the shape 2F1(b, b; b + 1; -t) of the entropy-of-sum bound is taken,
 by a series in t/(1 + t) or one in 1/(1 + t).  Downstream formulas are
 only valid for positive arguments, so the argument checks stay.
@@ -44,9 +45,24 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
+def _exact_product(a: float, b: float) -> list[float]:
+    """Four floats summing to a * b exactly: each factor split into two
+    halves of at most 26 bits (Dekker 1971), whose products are exact."""
+    halves = []
+    for v in (a, b):
+        c = 134217729.0 * v
+        hi = c - (c - v)
+        halves.append((hi, v - hi))
+    (ah, al), (bh, bl) = halves
+    return [ah * bh, ah * bl, al * bh, al * bl]
+
+
 def digamma(x: float) -> float:
     """Digamma (psi) function for positive real arguments: -gamma_e plus
-    the harmonic sum at the integers below 10, else
+    the harmonic sum at the integers below 10.  Below 2 it is psi's
+    Taylor series about its root x0, at d = x - x0 taken from x itself
+    and x0's two parts, less 1/x when x < 1 (psi(x) = psi(x + 1) - 1/x),
+    which keeps its relative accuracy at the root.  From 2 up it is
     psi(x) = psi(x + m) - sum_{k<m} 1/(x + k) with x + m >= 10 and the
     asymptotic series ln y - 1/(2y) - sum_k B_2k/(2k y^2k) at y = x + m,
     summed by fsum."""
@@ -54,6 +70,23 @@ def digamma(x: float) -> float:
         raise ValueError(f"digamma requires x > 0, got {x}")
     if x < 10 and x == int(x):
         return math.fsum(1.0 / k for k in range(1, int(x))) - EULER_GAMMA
+    if x < 2:
+        # d = x + shift - x0, its first part exact where x and the
+        # shifted root lie within a factor 2 of each other
+        shift = 1.0 if x < 1 else 0.0
+        d = x - (_PSI_ROOT - shift)
+        dd = d - _PSI_ROOT_LO
+        q = 0.0
+        for c in reversed(_PSI_TAYLOR):
+            q = q * dd + c
+        # psi(x + shift) = (d - lo)(c_1 + dd q), the leading product exact
+        t = dd * q
+        terms = _exact_product(d, _PSI_SLOPE) + [d * t, -_PSI_ROOT_LO * (_PSI_SLOPE + t)]
+        if shift:
+            # 1/x as r plus the residual (1 - r x)/x, r x taken exactly
+            r = 1.0 / x
+            terms += [-r, -math.fsum([1.0] + [-p for p in _exact_product(r, x)]) / x]
+        return math.fsum(terms)
     terms = []
     while x < 10:
         terms.append(-1.0 / x)
@@ -87,6 +120,19 @@ def hurwitz_zeta(s, q) -> np.ndarray:
         series *= v
     series += coef[0]
     return direct + a**-s * (a / (s - 1.0) + 0.5 + series / a)
+
+
+# psi's positive root x0 = _PSI_ROOT + _PSI_ROOT_LO (the second part the
+# remainder of the first) and its slope there, psi'(x0) = zeta(2, x0)
+# rounded (both from mpmath at 50 digits), then psi's further Taylor
+# coefficients about x0, psi^(k)(x0)/k! = (-1)^(k+1) zeta(k + 1, x0)
+# for k = 2 .. 41: on |x - x0| <= 0.54 the first term left out is below
+# 1e-18 of psi
+_PSI_ROOT, _PSI_ROOT_LO = 1.4616321449683622, 9.549995429965697e-17
+_PSI_SLOPE = 0.9676722454476212
+_PSI_TAYLOR = (
+    hurwitz_zeta(np.arange(3.0, 43.0), [_PSI_ROOT])[0] * (-1.0) ** np.arange(3, 43)
+).tolist()
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:

@@ -526,7 +526,8 @@ class TestEntropyKept:
 
 
 # one call of each kind that the benchmark worker builds, then every
-# default CLI command, in a process where importing scipy raises
+# default CLI command, in a process where importing scipy raises; none
+# of them loads numpy.ma (about 10 ms, which np.median imports)
 NO_SCIPY_SCRIPT = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None
@@ -543,10 +544,12 @@ for workload in spec.WORKLOADS:
         seen.add(key)
         call, _ = worker.build(op)
         call()
+        assert "numpy.ma" not in sys.modules, op["name"]
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         code = worker.cli.main(argv)
     assert code == 0, (argv, code)
+    assert "numpy.ma" not in sys.modules, argv
 print(json.dumps(sorted(seen, key=repr)))
 """
 
@@ -583,7 +586,8 @@ class TestImportCost:
         )
         assert out.returncode == 0, out.stderr[-3000:]
         kinds = {tuple(k) for k in json.loads(out.stdout.splitlines()[-1])}
-        assert len(commands) == 9
+        assert len(commands) == 11
+        assert ["crb-bench", "--estimator", "sample_median", "--n", "10"] in commands
         assert {
             ("jalpha", None, True),
             ("alpha_power", None, False),

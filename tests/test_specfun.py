@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from stable_info.specfun import (
     EULER_GAMMA,
+    _exact_product,
     digamma,
     gamma_fn,
     gauss_2f1,
@@ -56,11 +58,33 @@ class TestDigamma:
 
     def test_against_mpmath(self):
         # absolute error near the zero at 1.4616, relative beyond 1; the
-        # worst measured over this sweep is 5.1e-16
+        # worst measured over this sweep is 3.3e-16
         x = np.concatenate([np.geomspace(1e-3, 1e3, 400), np.linspace(0.05, 2.0, 400)])
         for xi in x:
             expect = float(mpmath.digamma(mpmath.mpf(xi)))
             assert abs(digamma(float(xi)) - expect) <= 1e-15 * max(1.0, abs(expect))
+
+    def test_exact_product(self):
+        # the four partial products of Dekker's split sum to a * b exactly
+        rng = np.random.default_rng(36)
+        for a, b in rng.uniform(-3.0, 3.0, (300, 2)) * 10.0 ** rng.integers(-20, 20, (300, 2)):
+            assert sum(map(Fraction, _exact_product(a, b))) == Fraction(a) * Fraction(b)
+
+    def test_within_two_ulp_below_two(self):
+        # the Taylor series about the root x0 keeps psi's relative accuracy
+        # where psi is small: densely around x0, and in the last ulps
+        # about it
+        x = np.concatenate(
+            [
+                np.linspace(0.05, 2.0, 1951),
+                np.linspace(1.40, 1.52, 1201),
+                1.4616321449683622 + np.arange(-40, 41) * 2.0**-52,
+            ]
+        )
+        with mpmath.workdps(30):
+            for xi in map(float, x):
+                expect = mpmath.digamma(mpmath.mpf(xi))
+                assert abs(mpmath.mpf(digamma(xi)) - expect) <= 2 * math.ulp(float(expect)), xi
 
 
 class TestGauss2F1:
@@ -166,6 +190,14 @@ class TestKappa:
         expect = math.exp(0.8 * (digamma(1.8) + EULER_GAMMA) - 1.0)
         assert kappa_alpha(1.8) == pytest.approx(expect, rel=1e-13)
         assert kappa_alpha(1.8) == pytest.approx(0.7333, abs=5e-4)
+
+    def test_correctly_rounded(self):
+        # psi(1.5) = 2 - gamma_e - 2 ln 2, so kappa_1.5 = exp(-ln 2) = 1/2
+        assert kappa_alpha(1.5) == 0.5
+        with mpmath.workdps(30):
+            for a in (1.2, 1.6, 1.8):
+                expect = mpmath.exp((a - 1) * (mpmath.digamma(a) + mpmath.euler) - 1)
+                assert kappa_alpha(a) == float(expect)
 
     def test_below_one(self):
         for a in (1.1, 1.3, 1.5, 1.7, 1.9):

@@ -56,6 +56,10 @@ CLI_COMMANDS = {
     "debruijn-check": ["-m", "stable_info.cli", "debruijn-check"],
     "capacity": ["-m", "stable_info.cli", "capacity", "--alpha", "1.8", "--gamma-n", "1", "--A", "3"],
     "crb-bench": ["-m", "stable_info.cli", "crb-bench"],
+    "crb-bench-myriad": [
+        "-m", "stable_info.cli", "crb-bench", "--estimator", "myriad", "--K", "1", "--n", "10", "--trials", "2000",
+    ],
+    "crb-bench-median": ["-m", "stable_info.cli", "crb-bench", "--estimator", "sample_median", "--n", "10"],
     "suite": ["-m", "stable_info.cli", "suite"],
 }
 
