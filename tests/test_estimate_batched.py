@@ -228,9 +228,9 @@ def check_refinement(x, pad, scan, dloss, max_evals):
     # over a band (x = [0, 2] at K = 1: S ~ (theta - 1)^3), puts the two
     # further apart; then the slope is roundoff all the way between them
     for i in np.flatnonzero(apart):
-        between = np.linspace(theta[i], bisected[i], 9)
-        u = x[i] - between[:, None]
-        assert np.all(np.abs(dloss(u).sum(axis=1)) <= 4 * x.shape[1] * np.finfo(float).eps * np.abs(dloss(u)).sum(axis=1).max())
+        terms = dloss(x[i] - np.linspace(theta[i], bisected[i], 9)[:, None])
+        roundoff = 4 * x.shape[1] * np.finfo(float).eps * np.abs(terms).sum(axis=1).max()
+        assert np.all(np.abs(terms.sum(axis=1)) <= roundoff)
     # a row whose grid bracket holds no sign change searches a wider one
     assert np.all(evals[held] <= max_evals(steps[held]))
     return evals, steps
@@ -260,7 +260,8 @@ def test_myriad_scan_brackets_match_sum_of_logs(n, K, rows):
     ra, rb, grid, vals, absvals = reference_bracket(x, K)
     # the products of a block are sized by its widest row: in blocks and
     # one row at a time
-    for a, b in [estimate._bracket(x, pad, scan), np.concatenate([estimate._bracket(row[None], pad, scan) for row in x], axis=1)]:
+    by_row = np.concatenate([estimate._bracket(row[None], pad, scan) for row in x], axis=1)
+    for a, b in [estimate._bracket(x, pad, scan), by_row]:
         # The scans round differently, so they can pick different grid
         # points only where the reference's values of both tie to within
         # that roundoff: symmetric pairs of minima (n = 2), and objectives
@@ -268,7 +269,8 @@ def test_myriad_scan_brackets_match_sum_of_logs(n, K, rows):
         for i in np.flatnonzero((a != ra) | (b != rb)):
             g = grid[i]
             inside = g[(g > a[i]) & (g < b[i])]
-            pick = np.flatnonzero(g == (inside[0] if inside.size else (a[i] if a[i] == g[0] else b[i])))[0]
+            best = inside[0] if inside.size else (a[i] if a[i] == g[0] else b[i])
+            pick = np.flatnonzero(g == best)[0]
             tie = 4 * n * np.finfo(float).eps * absvals[i, pick]
             assert vals[i, pick] - vals[i].min() <= tie, (n, K, x[i])
 
@@ -306,8 +308,9 @@ def test_workload_brackets_and_refinement():
 @settings(max_examples=60, deadline=None)
 def test_refinement_on_drawn_rows(x, log_k):
     # at least every other step halves the bracket: at most twice the
-    # bisection's steps and 4 more (regula falsi is slow where the slope
-    # has a pole-like jump, about a sample closer than the bracket to K)
+    # bisection's steps and 4 more (regula falsi crawls where K is far
+    # below the sample spacing and the slope jumps by about 1/K across a
+    # sample)
     pad, scan, dloss = estimator_parts(myriad_estimate, 10.0**log_k)
     check_refinement(np.array([x]), pad, scan, dloss, lambda steps: 2 * steps + 4)
 
@@ -322,7 +325,7 @@ def test_pole_like_slopes_take_at_most_twice_the_bisection():
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.8])
-def test_ml_refinement_on_drawn_rows(alpha):
+def test_ml_refinement_against_bisection(alpha):
     x = sample_sas(alpha, 1.0, (30, 7), seed=33)
     pad, scan, dloss = estimator_parts(ml_location_estimate, alpha, 1.0)
     check_refinement(x, pad, scan, dloss, lambda steps: steps)
