@@ -106,13 +106,14 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
     logpdf is floor-clamped, so |ln p_ref| <= |ln 1e-300| < 700 and the
     dropped terms together move g by less than 1e-17, five orders below
     ROOT_TOL.  Laplace(1) keeps 8,355 nodes, Cauchy(1) 7,555, S(0.4, 1)
-    (no handoff) 30,493.  Nodes, weights and R, free of alpha, are kept
-    on the density."""
+    (no handoff) 30,493.  Nodes and weights, free of alpha, are kept on
+    the density (GriddedDensity.derive)."""
     if isinstance(law, Empirical):
         s = law.samples
         return _GRule(alpha, np.sort(np.abs(s)), np.full(s.size, 1.0 / s.size))
     f = dens.realize(law)
-    if f._folded is None:
+
+    def build():
         c, k = f.n // 2, _handoff(f, law)
         core = slice(c - k, c + k + 1)
         w = f.values[core] * f.h
@@ -132,8 +133,9 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
         keep = np.flatnonzero(w >= 1e-17 / (700.0 * w.size))
         y, w = y[keep], w[keep]
         y.flags.writeable = w.flags.writeable = False
-        f._folded = (y, w, k * f.h)
-    return _GRule(alpha, *f._folded[:2])
+        return y, w
+
+    return _GRule(alpha, *f.derive("folded", build))
 
 
 def g_of_P(law: RandomLaw, alpha: float, P: float) -> float:
@@ -152,8 +154,6 @@ def _matching_stable_scale(law: RandomLaw, alpha: float) -> float | None:
         return law.gamma
     if isinstance(law, Cauchy) and alpha == 1:
         return law.gamma
-    if isinstance(law, dens.Gaussian) and alpha == 2:
-        return law.sigma / math.sqrt(2.0)
     if isinstance(law, Scaled):
         inner = _matching_stable_scale(law.law, alpha)
         return None if inner is None else abs(law.c) * inner

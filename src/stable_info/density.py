@@ -52,8 +52,9 @@ MEMO_POINTS = 2**20
 @dataclass(frozen=True)
 class RandomLaw:
     def scale_hint(self) -> float:
-        """Robust scale proxy used for grid sizing and root brackets: for a
-        base law its scale parameter, the last field."""
+        """The scale that sizes grids, the alpha-power's 40-scale handoff
+        bound, the spectral smoothing scale and the finite-difference
+        steps: for a base law its scale parameter, the last field."""
         return getattr(self, fields(self)[-1].name)
 
     def mean(self) -> float:
@@ -342,13 +343,7 @@ class Empirical(RandomLaw):
         raise ValueError("an Empirical law has no density; alpha_power reads its samples directly")
 
     # every route to a density, bare or inside Shifted, Scaled or Sum, calls one of these
-    cf = series = _realize_on = _no_density
-
-    def scale_hint(self):
-        iqr = float(np.subtract(*np.percentile(self.samples, [75, 25])))
-        if iqr > 0:
-            return iqr / 2.0
-        return max(float(np.std(self.samples)), 1e-12)
+    cf = series = scale_hint = _realize_on = _no_density
 
     def mean(self):
         return float(np.mean(self.samples))

@@ -232,19 +232,19 @@ class GriddedDensity:
     h: float
     values: np.ndarray
     tail: TailLaw | None = None
-    _spline: _Cubic | None = field(default=None, repr=False, compare=False)
-    # (q, |phi|, tail mass, w, edge, top) of the spectral J_alpha, kept by
-    # jalpha._parseval_weights
-    _spectral: tuple | None = field(default=None, repr=False, compare=False)
-    # the differential entropy, kept by entropy()
-    _entropy: float | None = field(default=None, repr=False, compare=False)
-    # (y, w) of the alpha-power's g(P), kept by alphapower._g_rule
-    _folded: tuple | None = field(default=None, repr=False, compare=False)
+    # what derive() has built on the density, by key
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if np.any(self.values < 0):
             raise ValueError("density values must be nonnegative")
+
+    def derive(self, key: str, build):
+        """build(), kept on the density under key from the first call on."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     @property
     def n(self) -> int:
@@ -332,7 +332,7 @@ class GriddedDensity:
         With slope=True it returns the pair (ln p, d ln p/dx) at points
         of any shape and order: the spline's derivative inside, the tail
         law's outside (0 without one), negated left of the center."""
-        if self._spline is None:
+        def build():
             thresh = float(np.max(self.values)) * 1e-14
             i = int(np.argmax(self.values))
             # the run of values above thresh that contains the peak
@@ -344,11 +344,12 @@ class GriddedDensity:
             x = self.x0 + self.h * np.arange(lo, hi + 1)
             # x[n // 2] is the center itself: the kept knots are d = 0, h, ...
             knots = x[self.n // 2 - lo :] - self.center
-            self._spline = _Cubic(knots, _not_a_knot(x, logp, self.n // 2 - lo))
+            return _Cubic(knots, _not_a_knot(x, logp, self.n // 2 - lo))
+
         xq = np.asarray(xq, dtype=float)
         scalar = xq.ndim == 0
         xq = np.atleast_1d(xq)
-        knots, c = self._spline
+        knots, c = self.derive("spline", build)
         r = min(self.accurate_radius, knots[-1])
         signed = xq - self.center
         d = np.abs(signed)
@@ -387,10 +388,10 @@ class GriddedDensity:
         over the core, plus -2 sum w ln p_tail(n) over the tail nodes
         (none without a tail law).  Computed on the first call and kept
         on the density."""
-        if self._entropy is None:
+        def build():
             p = np.clip(self.values[self.core], _FLOOR, None)
             core = -_trapezoid(np.multiply(p, np.log(p), out=p), self.h)
             _, w, log_p = self.tail_nodes()
-            self._entropy = core - 2.0 * float(np.add.reduce(w * log_p))
-        return self._entropy
+            return core - 2.0 * float(np.add.reduce(w * log_p))
 
+        return self.derive("entropy", build)

@@ -76,7 +76,7 @@ def _parseval_weights(
     w = 2 pi rfftfreq(n, h) are the bins' frequencies, sorted, so the
     decay guard's band w >= 0.98 w[-1] is the suffix w[edge:]; top is
     the bin where w |phi| peaks, the first bin the guard reads."""
-    if f._spectral is None:
+    def build():
         n, c, core = f.n, f.n // 2, f.core
         # ifftshift layout, grid index j at (j - c) mod n: the core wraps round 0
         ell = np.concatenate((f.values[c:], f.values[:c]))
@@ -97,8 +97,9 @@ def _parseval_weights(
         edge = int(np.searchsorted(w, 0.98 * w[-1]))
         phi_abs = np.abs(phi)
         top = int(np.argmax(w * phi_abs))
-        f._spectral = (q, phi_abs, f.tail_mass(), w, edge, top)
-    return f._spectral
+        return q, phi_abs, f.tail_mass(), w, edge, top
+
+    return f.derive("spectral", build)
 
 
 def jalpha_spectral(f: GriddedDensity, alpha: float) -> JAlphaEstimate:

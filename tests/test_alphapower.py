@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from stable_info import alphapower, cli, stable
-from stable_info.alphapower import _g_rule, alpha_power, g_of_P
+from stable_info.alphapower import _g_rule, _handoff, alpha_power, g_of_P
 from stable_info.cli import DEFAULT_POWER_ALPHAS, DEFAULT_POWER_LAWS
 from stable_info.density import (
     Cauchy,
@@ -579,15 +579,14 @@ class TestHandoff:
         ids=str,
     )
     def test_kept_radius_is_the_search(self, law):
-        _g_rule(law, 1.2)
         f = realize(law)
-        assert f._folded[2] == handoff(f, law)
+        assert _handoff(f, law) * f.h == handoff(f, law)
 
     def test_sum_hands_off_past_46_scales(self):
         # its grid matches the series to 1e-10 only from 46 scales, which
         # is beyond the 40 scales kept for the origin
-        _g_rule(SUM, 1.2)
-        assert realize(SUM)._folded[2] >= 46.0 * SUM.scale_hint()
+        f = realize(SUM)
+        assert _handoff(f, SUM) * f.h >= 46.0 * SUM.scale_hint()
 
     @pytest.mark.parametrize("law", DEFAULT_POWER_LAWS + [SUM], ids=str)
     @pytest.mark.parametrize("alpha", [0.4, 1.2, 1.8])

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from stable_info import cli, density
+from stable_info.alphapower import _g_rule
 from stable_info.density import (
     MEMO_POINTS,
     Cauchy,
@@ -370,6 +373,30 @@ class TestRealizationMemo:
         assert [d.n for d in density._memo.values()].count(big.n) == 1
         realize(SaS(1.5, 1.0), big)
         assert len(sas_calls) == 1 + 6 + 1 + 1
+
+    def test_an_evicted_density_takes_what_was_built_on_it(self):
+        # its spline, entropy, Parseval weights and folded g rule hold no
+        # reference back to it, so eviction frees it without the cycle
+        # collector
+        law = SaS(1.5, 1.0)
+        density._memo.clear()
+        f = realize(law)
+        f.logpdf(0.0)
+        f.entropy()
+        jalpha_spectral(f, 1.5)
+        _g_rule(law, 1.2)
+        assert realize(law) is f and len(f._derived) == 4
+        kept = weakref.ref(f)
+        del f
+        gc.disable()
+        try:
+            sigma = 1.0
+            while (law, plan_grid(law)) in density._memo:
+                realize(Gaussian(sigma))
+                sigma += 1.0
+            assert kept() is None
+        finally:
+            gc.enable()
 
     def test_giie_table_realizes_its_largest_law_once(self, sas_calls, capsys):
         # S(0.4, 9.88) is realized on 2^21 points, over MEMO_POINTS; each

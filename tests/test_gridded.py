@@ -27,7 +27,7 @@ def masked_logpdf(f, xq, slope=False):
     scalar = xq.ndim == 0
     xq = np.atleast_1d(xq)
     out = np.empty_like(xq)
-    knots, c = f._spline
+    knots, c = f._derived["spline"]
     signed = xq - f.center
     d = np.abs(signed)
     inside = d <= min(f.accurate_radius, knots[-1])
@@ -235,8 +235,9 @@ class TestGriddedDensity:
         base = realize(law)
         f = GriddedDensity(base.x0, base.h, base.values, base.tail)
         f.logpdf(0.0)
+        kept = f._derived["spline"]
         knots, c = sliced_spline(f)
-        assert np.array_equal(f._spline.x, knots) and np.array_equal(f._spline.c, c)
+        assert np.array_equal(kept.x, knots) and np.array_equal(kept.c, c)
 
     def test_entropy_gaussian(self):
         f = gaussian_grid(sigma=1.3)
@@ -272,9 +273,10 @@ class TestGriddedDensity:
         # the kept knots run from the center to the run's right end
         f = gaussian_grid(sigma=sigma, L=L)
         f.logpdf(0.0)
+        kept = f._derived["spline"]
         lo, hi = noise_run(f.values)
-        assert (f._spline.x[0], f._spline.x[-1]) == (0.0, f.x[hi] - f.center)
-        assert f._spline.c.shape == (4, hi - f.n // 2)
+        assert (kept.x[0], kept.x[-1]) == (0.0, f.x[hi] - f.center)
+        assert kept.c.shape == (4, hi - f.n // 2)
         assert ((lo, hi) == (0, f.n - 1)) == (sigma == 3.0)
         assert (np.min(f.values) == 0.0) == (sigma == 1.0)
 
@@ -298,11 +300,12 @@ class TestGriddedDensity:
         # on [-r, r]
         f = make()
         f.logpdf(0.0)
+        kept = f._derived["spline"]
         spline, start = full_run_spline(f)
-        assert_rows_near_cubic_spline(f._spline.c, spline.c[:, start:], spline.x, spline.c[3])
-        assert np.array_equal(f._spline.x, spline.x[start:] - f.center)
-        r = min(f.accurate_radius, f._spline.x[-1])
-        d = np.concatenate([r * np.array(u), f._spline.x[::7], [0.0, r]])
+        assert_rows_near_cubic_spline(kept.c, spline.c[:, start:], spline.x, spline.c[3])
+        assert np.array_equal(kept.x, spline.x[start:] - f.center)
+        r = min(f.accurate_radius, kept.x[-1])
+        d = np.concatenate([r * np.array(u), kept.x[::7], [0.0, r]])
         d = d[d <= r]
         want = spline(f.center + d)
         np.testing.assert_allclose(f.logpdf(f.center + d), want, rtol=0, atol=1e-14)
@@ -352,7 +355,7 @@ class TestGriddedDensity:
         # NaN and +-inf among them
         f = make()
         f.logpdf(0.0)
-        r = min(f.accurate_radius, f._spline.x[-1])
+        r = min(f.accurate_radius, f._derived["spline"].x[-1])
         x = np.array(d) * r * np.where(sign[: len(d)], 1.0, -1.0)
         x = f.center + np.concatenate([x, [r, -r, np.nextafter(r, np.inf)]])
         if shape == "scalar":
@@ -380,7 +383,7 @@ class TestGriddedDensity:
         two_sided = np.random.default_rng(0).permutation(np.concatenate([d, -d[1:]]))
         e = 1e-6 * f.half_extent
         f.logpdf(0.0)
-        r = min(f.accurate_radius, f._spline.x[-1])
+        r = min(f.accurate_radius, f._derived["spline"].x[-1])
         for x in f.center + d, f.center + two_sided, f.center + two_sided[:6000].reshape(60, 100):
             lp, dlp = f.logpdf(x, slope=True)
             assert np.array_equal(lp, f.logpdf(x))

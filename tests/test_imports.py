@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never reads, or exports
-in __all__ a name it never binds."""
+"""No module of the package imports a name it never reads, exports in
+__all__ a name it never binds, or assigns to a private attribute of an
+object other than self or cls."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,27 @@ def unbound_exports(source: str) -> list[str]:
     return [name for name in exported if name not in bound]
 
 
+def foreign_private_writes(source: str) -> list[str]:
+    """The targets, as written, of the assignments in source to an
+    underscore attribute of anything but the names self and cls."""
+    tree = ast.parse(source)
+    targets = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets.append(node.target)
+    return [
+        ast.unparse(t)
+        for target in targets
+        for t in ast.walk(target)
+        if isinstance(t, ast.Attribute)
+        and isinstance(t.ctx, ast.Store)
+        and t.attr.startswith("_")
+        and not (isinstance(t.value, ast.Name) and t.value.id in ("self", "cls"))
+    ]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
@@ -52,6 +74,11 @@ def test_every_import_is_read(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_attribute_of_another_object_is_assigned(path):
+    assert foreign_private_writes(path.read_text()) == []
 
 
 def test_unused_imports_are_found():
@@ -83,3 +110,23 @@ def test_unbound_exports_are_found():
         "    pass\n"
     )
     assert unbound_exports(source) == ["gone", "inner"]
+
+
+def test_foreign_private_writes_are_found():
+    source = (
+        "class Box:\n"
+        "    def __init__(self, f):\n"
+        "        self._kept = f\n"
+        "        self._n: int = 0\n"
+        "        f._cache = None\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        cls._made = True\n"
+        "def g(f, other):\n"
+        "    f.public = 1\n"
+        "    f.inner._x += 1\n"
+        "    a, other._y = 1, 2\n"
+        "    f._z: float = 0.0\n"
+        "    return f._read\n"
+    )
+    assert sorted(foreign_private_writes(source)) == ["f._cache", "f._z", "f.inner._x", "other._y"]

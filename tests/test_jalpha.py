@@ -344,7 +344,9 @@ class TestFurtherAlpha:
             start = int(np.argmax(w >= 0.98 * w[-1]))
             phi_abs[start - 1 :] = 0.0
             phi_abs[start - 1 : start + 1] = 2e-12, 1e-12
-        f._spectral = (q, phi_abs, tail_mass, w, edge, top)
+        # kept on a fresh copy, in place of the weights built above
+        f = GriddedDensity(f.x0, f.h, f.values, f.tail)
+        f.derive("spectral", lambda: (q, phi_abs, tail_mass, w, edge, top))
         for alpha in (0.5, 1.5, 2.0):
             want = outcome(plain_jalpha_spectral, f, alpha, (q, phi_abs, tail_mass))
             # by repr, exact for floats, under which NaN equals NaN

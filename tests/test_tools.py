@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +49,26 @@ def test_time_cli_fails_on_stdout_that_differs_between_repeats(monkeypatch):
     monkeypatch.setattr(bench_record, "CLI_COMMANDS", commands)
     out, ok = bench_record.time_cli(ROOT, 2)
     assert not ok and out["random"]["stdout_sha256"] is None and out["random"]["exit_codes"] == [0, 0]
+
+
+def test_src_is_compiled_before_the_first_run(tmp_path, monkeypatch):
+    # a checkout of one module and one workload: when the first run
+    # starts, the module's bytecode is on disk, though the environment
+    # asks python to write none
+    module = tmp_path / "src" / "stable_info" / "m.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("X = 1\n")
+    spec = {"run_seconds": 1, "workloads": [{"name": "w"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    compiled = []
+
+    def bench_run(repo, workload, seconds, trace):
+        compiled.append(Path(importlib.util.cache_from_source(str(module))).is_file())
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+
+    monkeypatch.setattr(bench_record, "bench_run", bench_run)
+    monkeypatch.setattr(bench_record, "time_cli", lambda repo, repeats: ({}, True))
+    assert bench_record.main(["--label", "t", "--repo", str(tmp_path), "--runs", "1"]) == 0
+    assert compiled == [True, True]

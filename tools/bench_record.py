@@ -18,15 +18,20 @@ threads set to 1).  The file also holds nproc, the python, numpy
 and scipy versions, and src_lines, the line count of
 src/stable_info/*.py as `wc -l` gives it (the ROADMAP tracks it).
 
-The output is written to --out (default: the checkout).  Exits 1 if a
-benchmark run fails, reports "correct": false or a failed operation, or
-a CLI command exits non-zero or prints different stdout on its repeats;
-the file is written either way.
+Before the first run it byte-compiles the checkout's src/ tree, so no
+run compiles a module anew: where PYTHONDONTWRITEBYTECODE is set, a
+stale cache would be recompiled in every run and counted in setup_s.
+
+The output is written to --out (default: the checkout).  Exits 1 if
+src/ does not compile, a benchmark run fails, reports "correct": false
+or a failed operation, or a CLI command exits non-zero or prints
+different stdout on its repeats; the file is written either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -193,7 +198,7 @@ def main(argv=None) -> int:
         "settings": {"runs": args.runs, "seconds": args.seconds, "seed": SEED, "cli_repeats": args.cli_repeats},
         "workloads": {},
     }
-    ok = True
+    ok = bool(compileall.compile_dir(repo / "src", quiet=1))
     for w in spec["workloads"]:
         doc["workloads"][w["name"]], clean = record_workload(repo, w["name"], args)
         ok = ok and clean
