@@ -63,14 +63,24 @@ class _GRule:
     alpha: float
     y: np.ndarray
     w: np.ndarray
+    # sum w ln y / sum w over the nodes y > 0: E ln|X|, the root's start
+    log_moment: float
 
     def __call__(self, P: float) -> tuple[float, float]:
         """g(P) and dg/dt at t = ln P: with u = y / P, dg/dt is
         sum_i w_i u_i (ln p_ref)'(u_i).  Both sums are numpy's pairwise
-        sums, so the digits do not depend on the thread count."""
+        sums, so the digits do not depend on the thread count; the
+        products w lp and (w u) dlp are formed in place."""
         u = self.y / P
         lp, dlp = stable.logpdf_sas(self.alpha, stable.reference_gamma(self.alpha), u, slope=True)
-        return float(-np.add.reduce(self.w * lp)), float(np.add.reduce(self.w * u * dlp))
+        dlp *= np.multiply(self.w, u, out=u)
+        return float(-np.add.reduce(np.multiply(self.w, lp, out=lp))), float(np.add.reduce(dlp))
+
+
+def _log_moment(y: np.ndarray, w: np.ndarray) -> float:
+    pos = y > 0
+    w = w[pos]
+    return float(np.add.reduce(w * np.log(y[pos])) / np.add.reduce(w))
 
 
 def _handoff(f, law: RandomLaw) -> int:
@@ -106,11 +116,12 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
     logpdf is floor-clamped, so |ln p_ref| <= |ln 1e-300| < 700 and the
     dropped terms together move g by less than 1e-17, five orders below
     ROOT_TOL.  Laplace(1) keeps 8,355 nodes, Cauchy(1) 7,555, S(0.4, 1)
-    (no handoff) 30,493.  Nodes and weights, free of alpha, are kept on
-    the density (GriddedDensity.derive)."""
+    (no handoff) 30,493.  Nodes, weights and their log-moment, free of
+    alpha, are kept on the density (GriddedDensity.derive)."""
     if isinstance(law, Empirical):
         s = law.samples
-        return _GRule(alpha, np.sort(np.abs(s)), np.full(s.size, 1.0 / s.size))
+        y, w = np.sort(np.abs(s)), np.full(s.size, 1.0 / s.size)
+        return _GRule(alpha, y, w, _log_moment(y, w))
     f = dens.realize(law)
 
     def build():
@@ -133,7 +144,7 @@ def _g_rule(law: RandomLaw, alpha: float) -> _GRule:
         keep = np.flatnonzero(w >= 1e-17 / (700.0 * w.size))
         y, w = y[keep], w[keep]
         y.flags.writeable = w.flags.writeable = False
-        return y, w
+        return y, w, _log_moment(y, w)
 
     return _GRule(alpha, *f.derive("folded", build))
 
@@ -208,9 +219,7 @@ def alpha_power(law: RandomLaw, alpha: float) -> AlphaPowerResult:
     h_ref = stable.reference_entropy(alpha)
     g = _g_rule(law, alpha)
     # start at the log-moment (module docstring)
-    pos = g.y > 0
-    w = g.w[pos]
-    t = float(np.add.reduce(w * np.log(g.y[pos])) / np.add.reduce(w))
+    t = g.log_moment
     t -= math.log(stable.reference_gamma(alpha)) + EULER_GAMMA * (1.0 / alpha - 1.0)
     # g decreases in t = ln P: the root lies above t while g > h_ref
     lo, hi, last = -math.inf, math.inf, None

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from threading import local
 
 import numpy as np
 
@@ -41,6 +42,9 @@ _NO_TAIL = (np.empty(0), np.empty(0), np.empty(0))
 
 # the pole 2 - sqrt(3) of the uniform cubic spline's [1, 4, 1] rows
 _SPLINE_POLE = 2.0 - 3.0**0.5
+
+# logpdf's work rows, one set per thread (_work_rows)
+_WORK = local()
 
 
 def _trapezoid(y: np.ndarray, h: float) -> float:
@@ -134,12 +138,14 @@ class TailLaw:
         leading exponent.  For a stable tail, A = v A' and D = v D' with
         A' and D' polynomials in v = t^-e, which Horner's rule gives from
         one power, and D/A is D'/A'; any other series takes one exp per
-        term.  Where the higher terms vanish, or A underflows to 0, the
-        slope is the leading term's -(1 + e)/x exactly."""
+        term.  Horner's rule runs A' (and with slope D') as the rows of
+        one stacked array, one multiply and one add per coefficient.
+        Where the higher terms vanish, or A underflows to 0, the slope is
+        the leading term's -(1 + e)/x exactly."""
         t = np.abs(x)
         e = self.exponent
-        a, d = np.zeros_like(t), np.zeros_like(t)
         if self._horner is None:
+            a, d = np.zeros_like(t), np.zeros_like(t)
             lx = np.log(t)
             for ek, ck in ((e, self.coefficient),) + self.extra:
                 term = ck * np.exp(-ek * lx)
@@ -147,12 +153,13 @@ class TailLaw:
             p = a / t
         else:
             v = t**-e
-            for ak, dk in self._horner[:, :0:-1].T:
-                a *= v
-                a += ak
-                if slope:
-                    d *= v
-                    d += dk
+            rows = self._horner[: 1 + slope, :0:-1]
+            ad = np.zeros(rows.shape[:1] + t.shape)
+            # one column of coefficients per step, broadcast along t
+            for col in rows.T.reshape(rows.shape[::-1] + (1,) * t.ndim):
+                ad *= v
+                ad += col
+            a, d = ad[0], ad[-1]
             p = a * v / t
         if not slope:
             return p
@@ -161,6 +168,17 @@ class TailLaw:
 
 # knots x and coefficient rows c[0..3] (cubic first) of a spline
 _Cubic = namedtuple("_Cubic", "x c")
+
+
+def _work_rows(xq: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Seven float rows (signed, d, s, s^2, c0, c1, c2) and one intp row
+    (k) shaped as xq, views of this thread's work block: grown to the
+    largest query and never shrunk, so a logpdf call allocates only the
+    arrays it returns, which are never views of the block."""
+    n = xq.size
+    if getattr(_WORK, "size", -1) < n:
+        _WORK.size, _WORK.rows, _WORK.k = n, np.empty((7, n)), np.empty(n, np.intp)
+    return (*_WORK.rows[:, :n].reshape((7, *xq.shape)), _WORK.k[:n].reshape(xq.shape))
 
 
 def _not_a_knot(x: np.ndarray, y: np.ndarray, start: int) -> np.ndarray:
@@ -186,10 +204,7 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray, start: int) -> np.ndarray:
         raise ValueError(f"no spline interval starts at knot {start} of {m}")
     dx = np.diff(x)
     # slope, the knot slopes s and the doubling steps' products share one
-    # (3, m) work buffer, the size of the band a banded solver takes.
-    # Freeing a block this large raises glibc's heap trim threshold, which
-    # spares later N-point temporaries (the Monte Carlo's g(P) calls) from
-    # being faulted in anew on every call
+    # (3, m) work buffer
     work = np.empty((3, m))
     slope, s, tmp = work[0, 1:], work[1], work[2]
     np.divide(np.diff(y), dx, out=slope)
@@ -297,11 +312,6 @@ class GriddedDensity:
         """Two-sided mass of the tail series beyond the last core point."""
         return 2.0 * float(np.add.reduce(self.tail_nodes()[1]))
 
-    def total_mass(self) -> float:
-        if self.tail is None:
-            return self.grid_mass()
-        return self.core_mass() + self.tail_mass()
-
     def normalize(self, out=None) -> "GriddedDensity":
         """Rescale grid values so total mass (core + tail) is 1, into out if given."""
         if self.tail is None:
@@ -322,7 +332,14 @@ class GriddedDensity:
         values clearly above the FFT/underflow noise floor (a cubic through noise-level samples
         oscillates without bound in log space); only its intervals from
         the center out are kept, so it reads d up to r, the accurate
-        radius or the last knot.  The knots are uniform: interval
+        radius or the last knot.  The build starts at knot n // 2 - 64
+        (at the run's own start if that is nearer the center), and the
+        kept rows are the full run's bit for bit: each recursive filter
+        of _not_a_knot has 32 taps, so no slope from the center out sees
+        where the build starts; the left end row's correction reaches 40
+        knots; and the right end row sees the left one only through
+        (2 - r)(-r)^(m - 2), at most 4.3e-37 from this start and exactly
+        0 from m = 568.  The knots are uniform: interval
         k = d // h by direct indexing, summed in PPoly's order
         c3 + c2 s + c1 s^2 + c0 s^3.  Every point reads the spline, at d
         clipped to r, and only the points beyond r (NaN among them) are
@@ -340,6 +357,7 @@ class GriddedDensity:
             left, right = stop[stop < i], stop[stop > i]
             lo = int(left[-1]) + 1 if left.size else 0
             hi = int(right[0]) - 1 if right.size else self.n - 1
+            lo = max(lo, self.n // 2 - 64)
             logp = np.log(np.clip(self.values[lo : hi + 1], _FLOOR, None))
             x = self.x0 + self.h * np.arange(lo, hi + 1)
             # x[n // 2] is the center itself: the kept knots are d = 0, h, ...
@@ -351,22 +369,32 @@ class GriddedDensity:
         xq = np.atleast_1d(xq)
         knots, c = self.derive("spline", build)
         r = min(self.accurate_radius, knots[-1])
-        signed = xq - self.center
-        d = np.abs(signed)
-        # the spline at every point, read at d clipped to r (fmin sends
-        # NaN there too); the points beyond r are overwritten below
-        dc = np.fmin(d, r)
-        k = np.minimum(dc / self.h, knots.size - 2).astype(np.intp)
-        s = dc - knots.take(k)
-        c0, c1, c2 = c[0].take(k), c[1].take(k), c[2].take(k)
-        s2 = s * s
-        out = c[3].take(k) + c2 * s + c1 * s2 + c0 * (s2 * s)
+        signed, d, s, s2, c0, c1, c2, k = _work_rows(xq)
+        np.subtract(xq, self.center, out=signed)
+        np.abs(signed, out=d)
         outside = np.flatnonzero(~(d <= r))
+        d_out = d.take(outside)
+        # the spline at every point, read at d clipped to r (fmin sends
+        # NaN there too); the points beyond r are overwritten below.  d
+        # is free from here on, the products' row
+        np.fmin(d, r, out=s)
+        np.minimum(np.divide(s, self.h, out=s2), knots.size - 2, out=s2)
+        np.copyto(k, s2, casting="unsafe")
+        # k is in range: mode="clip" takes straight into out, unbuffered
+        s -= knots.take(k, out=c0, mode="clip")
+        for row, ck in zip(c, (c0, c1, c2)):
+            row.take(k, out=ck, mode="clip")
+        np.multiply(s, s, out=s2)
+        # c3 + c2 s + c1 s^2 + c0 s^3, summed left to right
+        out = c[3].take(k)
+        out += np.multiply(c2, s, out=d)
+        out += np.multiply(c1, s2, out=d)
+        out += np.multiply(c0, np.multiply(s2, s, out=d), out=d)
         tail_slope = 0.0
         if self.tail is None:
             out.put(outside, np.log(_FLOOR))
-        else:
-            p = self.tail.pdf(d.take(outside), slope)
+        elif outside.size:
+            p = self.tail.pdf(d_out, slope)
             if slope:
                 p, tail_slope = p
             out.put(outside, np.log(np.maximum(p, _FLOOR)))
@@ -374,10 +402,14 @@ class GriddedDensity:
         np.fmax(out, np.log(_FLOOR), out=out)
         if not slope:
             return out[0] if scalar else out
-        dout = (3.0 * c0 * s + 2.0 * c1) * s + c2
+        # (3 c0 s + 2 c1) s + c2
+        dout = np.multiply(c0, 3.0, out=c0) * s
+        dout += np.multiply(c1, 2.0, out=c1)
+        dout *= s
+        dout += c2
         dout.put(outside, tail_slope)
         # left of the center, flip the sign bit: it is the sign bit of x - center
-        dout.view(np.int64)[...] ^= signed.view(np.int64) & np.int64(-(2**63))
+        dout.view(np.int64)[...] ^= np.bitwise_and(signed.view(np.int64), np.int64(-(2**63)), out=k)
         return out, dout
 
     def pdf(self, xq) -> np.ndarray:

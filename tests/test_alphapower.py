@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,11 +138,11 @@ def counted_logpdf(monkeypatch) -> list:
 
 
 class InjectedRule:
-    """A stand-in for a g rule: g(P) gives (g, dg/dt) at P, and the nodes
-    y and weights w set the log-moment start."""
+    """A stand-in for a g rule: g(P) gives (g, dg/dt) at P, and
+    log_moment, E ln|X| over the nodes, sets the start."""
 
-    def __init__(self, g, y=(1.0,), w=(1.0,)):
-        self.g, self.y, self.w = g, np.asarray(y), np.asarray(w)
+    def __init__(self, g, log_moment=0.0):
+        self.g, self.log_moment = g, log_moment
 
     def __call__(self, P):
         return self.g(P)
@@ -195,7 +196,7 @@ class TestNewtonRoot:
         # stops them
         want = alpha_power(Laplace(1.0), 1.5).value
         rule = _g_rule(Laplace(1.0), 1.5)
-        far = InjectedRule(lambda P: rule(P / s), rule.y, rule.w)
+        far = InjectedRule(lambda P: rule(P / s), rule.log_moment)
         monkeypatch.setattr(alphapower, "_g_rule", lambda law, alpha: far)
         calls = counted_logpdf(monkeypatch)
         got = alpha_power(Laplace(1.0), 1.5).value / s
@@ -208,7 +209,7 @@ class TestNewtonRoot:
         # capped first step brackets the root, and the cubic step from
         # the third point lands beyond the bracket; unguarded it diverges
         h = reference_entropy(1.5)
-        # the nodes y = 1 put the start at -E ln|ref|
+        # a log-moment of 0 puts the start at -E ln|ref|
         t_root = -math.log(stable.reference_gamma(1.5)) + EULER_GAMMA / 3.0 - 0.2
         ts = []
 
@@ -492,6 +493,33 @@ class TestFoldedRule:
         a, b = _g_rule(law, 0.4), _g_rule(law, 1.8)
         assert a.y is b.y and a.w is b.w
         assert not a.y.flags.writeable and not a.w.flags.writeable
+
+    @pytest.mark.parametrize("law", DEFAULT_POWER_LAWS + [SAMPLED], ids=str)
+    def test_log_moment_is_the_nodes_mean_of_ln(self, law):
+        # the start alpha_power took from the nodes on every call, bit for
+        # bit; a realized law keeps it with its fold
+        rule = _g_rule(law, 1.2)
+        pos = rule.y > 0
+        w = rule.w[pos]
+        assert rule.log_moment == float(np.add.reduce(w * np.log(rule.y[pos])) / np.add.reduce(w))
+        if not isinstance(law, Empirical):
+            assert realize(law)._derived["folded"][2] == rule.log_moment
+
+    @pytest.mark.parametrize("law", [SAMPLED, Laplace(1.0)], ids=["sampled", "laplace"])
+    def test_g_call_allocates_three_node_arrays(self, law):
+        # once warm, a g(P) call allocates u = y / P and the two arrays
+        # logpdf returns (3 N doubles; 14 N before logpdf took its work
+        # rows from one kept block), so its temporaries do not depend on
+        # the allocator's trim threshold to stay mapped
+        g = _g_rule(law, 1.5)
+        g(1.0), g(0.7)
+        tracemalloc.start()
+        try:
+            g(1.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * g.y.size
 
     def test_power_table_g_evaluations(self, monkeypatch):
         calls = counted_logpdf(monkeypatch)

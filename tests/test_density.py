@@ -38,7 +38,7 @@ class TestClosedFormRealizations:
 
     def test_uniform_cell_average(self):
         f = realize(Uniform(1.0))
-        assert f.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert f.grid_mass() == pytest.approx(1.0, abs=1e-12)
         # the box edges cost a few 1e-3 of entropy at grid resolution
         assert f.entropy() == pytest.approx(math.log(2.0), abs=5e-3)
 
@@ -204,7 +204,7 @@ class TestConvolve:
     def test_mass_preserved(self):
         g = GridSpec(n=2**12, half_extent=40.0)
         out = convolve(Sum(Gaussian(1.0), Gaussian(1.0)), g)
-        assert out.total_mass() == pytest.approx(1.0, abs=1e-9)
+        assert out.grid_mass() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestEmpirical:

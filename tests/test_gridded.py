@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+from stable_info.cli import DEFAULT_POWER_ALPHAS, DEFAULT_POWER_LAWS
 from stable_info.density import Laplace, SaS, Shifted, Sum, Uniform, realize
 from stable_info.gridded import (
     GriddedDensity,
@@ -14,7 +15,7 @@ from stable_info.gridded import (
     TailLaw,
     _not_a_knot,
 )
-from stable_info.stable import sas_density, sas_series, tail_law
+from stable_info.stable import reference_gamma, sas_density, sas_series, tail_law
 
 
 def masked_logpdf(f, xq, slope=False):
@@ -58,8 +59,9 @@ def masked_logpdf(f, xq, slope=False):
 
 def sliced_spline(f):
     """The knots and coefficients of f's log-density spline as logpdf
-    built them before it made the knot abscissae once: slices of f.x,
-    which is read twice."""
+    built them before it made the knot abscissae once and started the
+    build 64 knots left of the center: slices of f.x, which is read
+    twice, over the whole noise run."""
     thresh = float(np.max(f.values)) * 1e-14
     i = int(np.argmax(f.values))
     stop = np.flatnonzero(~(f.values > thresh))
@@ -69,6 +71,33 @@ def sliced_spline(f):
     logp = np.log(np.clip(f.values[lo : hi + 1], 1e-300, None))
     knots = f.x[f.n // 2 : hi + 1] - f.center
     return knots, _not_a_knot(f.x[lo : hi + 1], logp, f.n // 2 - lo)
+
+
+def horner_by_row(tail, x, slope=False):
+    """TailLaw.pdf as it ran Horner's rule before it stacked A' and D'
+    into one array: each row on its own, in place; the reference the
+    stacked rule must match bit for bit."""
+    t = np.abs(x)
+    e = tail.exponent
+    a, d = np.zeros_like(t), np.zeros_like(t)
+    if tail._horner is None:
+        lx = np.log(t)
+        for ek, ck in ((e, tail.coefficient),) + tail.extra:
+            term = ck * np.exp(-ek * lx)
+            a, d = a + term, d + (ek - e) * term
+        p = a / t
+    else:
+        v = t**-e
+        for ak, dk in tail._horner[:, :0:-1].T:
+            a *= v
+            a += ak
+            if slope:
+                d *= v
+                d += dk
+        p = a * v / t
+    if not slope:
+        return p
+    return p, -(1.0 + e + np.divide(d, a, out=np.zeros_like(t), where=a != 0)) / x
 
 
 def gaussian_grid(sigma=1.0, n=2**14, L=12.0):
@@ -173,6 +202,18 @@ class TestTailLaw:
         central = (tail.pdf(x * (1 + 1e-6)) - tail.pdf(x * (1 - 1e-6))) / (2e-6 * x)
         np.testing.assert_allclose(dlp, central / p, rtol=1e-7, atol=0)
 
+    @pytest.mark.parametrize("tail", TAILS, ids=TAIL_IDS)
+    @pytest.mark.parametrize("slope", [False, True])
+    def test_pdf_is_the_row_by_row_horner(self, tail, slope):
+        # a scalar, an empty array, a flat array and the ML refinement's
+        # (100, 10) shape, signed, from near r out to where p underflows
+        d = np.geomspace(10.0, 1e300, 1000) * np.where(np.arange(1000) % 3, 1.0, -1.0)
+        for x in (37.5, -2.0e5, np.empty(0), np.append(d, [np.inf, -np.inf]), d.reshape(100, 10)):
+            got, want = tail.pdf(x, slope), horner_by_row(tail, x, slope)
+            for g, w in zip(got, want) if slope else [(got, want)]:
+                assert type(g) is type(w) and np.shape(g) == np.shape(w)
+                assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TailLaw(exponent=0.0, coefficient=1.0)
@@ -215,7 +256,7 @@ class TestCore:
 class TestGriddedDensity:
     def test_normalize(self):
         f = gaussian_grid()
-        assert f.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert f.grid_mass() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "law", [Shifted(SaS(1.5, 1.0), 0.7), Sum(Laplace(1.0), SaS(1.5, 1.0)), Uniform(1.0)]
@@ -230,14 +271,62 @@ class TestGriddedDensity:
         core = -float(np.trapezoid(p * np.log(p), dx=f.h))
         assert f.entropy() == core - 2.0 * float(np.add.reduce(w * log_p))
 
-    @pytest.mark.parametrize("law", [Shifted(SaS(1.5, 1.0), 0.7), Uniform(1.0)])
+    # a shifted law, and every density the benchmark's power-table and
+    # estimator-mc read through logpdf: the default power-table laws, the
+    # reference laws and the Monte Carlo's noise laws
+    SPLINE_LAWS = (
+        [Shifted(SaS(1.5, 1.0), 0.7), Uniform(1.0)]
+        + [law for law in DEFAULT_POWER_LAWS if law != Uniform(1.0)]
+        + [SaS(a, reference_gamma(a)) for a in DEFAULT_POWER_ALPHAS]
+        + [SaS(a, 1.0) for a in (1.2, 1.5, 1.8)]
+    )
+
+    @pytest.mark.parametrize("law", SPLINE_LAWS)
     def test_spline_is_the_sliced_build(self, law):
+        # the build from n // 2 - 64 keeps the full run's rows, bit for bit
         base = realize(law)
         f = GriddedDensity(base.x0, base.h, base.values, base.tail)
         f.logpdf(0.0)
         kept = f._derived["spline"]
         knots, c = sliced_spline(f)
         assert np.array_equal(kept.x, knots) and np.array_equal(kept.c, c)
+
+    @staticmethod
+    def narrow_run(lo, hi):
+        """A wavy bump on 2^11 points, h = 1/200, centered at x[1024] = 0,
+        above the noise cut on exactly [lo, hi] (0 elsewhere)."""
+        x = (np.arange(2**11) - 2**10) / 200.0
+        v = np.exp(-(x**2) / 2.0) * (1.0 + 0.3 * np.sin(7.0 * x))
+        v[:lo], v[hi + 1 :] = 0.0, 0.0
+        return GriddedDensity(float(x[0]), 1.0 / 200.0, v)
+
+    @pytest.mark.parametrize("lo_gap", [103, 90, 65, 64, 40], ids=lambda g: f"n//2-{g}")
+    @pytest.mark.parametrize("hi_gap", [2047 - 1024, 503, 30], ids=lambda g: f"n//2+{g}")
+    def test_narrow_runs_are_the_sliced_build(self, lo_gap, hi_gap):
+        # a run that starts within the 40 knots of the full run's left end
+        # correction from where the build starts (103 .. 65), at it (64),
+        # or right of it (40, short on the left: the build starts at the
+        # run's start); long, 568 knots from the build's start, or short
+        # on the right
+        f = self.narrow_run(1024 - lo_gap, 1024 + hi_gap)
+        f.logpdf(0.0)
+        kept = f._derived["spline"]
+        knots, c = sliced_spline(f)
+        assert kept.c.shape == (4, hi_gap)
+        assert np.array_equal(kept.x, knots) and np.array_equal(kept.c, c)
+
+    def test_logpdf_results_share_no_memory(self):
+        # the work rows are reused from call to call; what logpdf returns
+        # is the caller's own
+        f = realize(SaS(1.5, 1.0))
+        x = np.linspace(-30.0, 30.0, 1001)
+        lp, dlp = f.logpdf(x, slope=True)
+        keep = lp.copy(), dlp.copy()
+        again, dagain = f.logpdf(x[::-1], slope=True)
+        plain = f.logpdf(x)
+        pairs = [(lp, again), (dlp, dagain), (lp, plain), (again, plain), (lp, dlp)]
+        assert not any(np.shares_memory(a, b) for a, b in pairs)
+        assert np.array_equal(lp, keep[0]) and np.array_equal(dlp, keep[1])
 
     def test_entropy_gaussian(self):
         f = gaussian_grid(sigma=1.3)
