@@ -508,9 +508,8 @@ class TestFoldedRule:
     @pytest.mark.parametrize("law", [SAMPLED, Laplace(1.0)], ids=["sampled", "laplace"])
     def test_g_call_allocates_three_node_arrays(self, law):
         # once warm, a g(P) call allocates u = y / P and the two arrays
-        # logpdf returns (3 N doubles; 14 N before logpdf took its work
-        # rows from one kept block), so its temporaries do not depend on
-        # the allocator's trim threshold to stay mapped
+        # logpdf returns (3 N doubles), so its temporaries do not depend
+        # on the allocator's trim threshold to stay mapped
         g = _g_rule(law, 1.5)
         g(1.0), g(0.7)
         tracemalloc.start()
