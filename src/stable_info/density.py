@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,11 +104,11 @@ class Gaussian(RandomLaw):
         return self.sigma**2
 
     def cf(self, w):
-        return np.exp(-0.5 * (self.sigma * w) ** 2)
+        return stable._exp(-0.5 * (self.sigma * w) ** 2)
 
     def _pdf(self, x):
         s2 = self.sigma**2
-        return np.exp(-(x**2) / (2 * s2)) / math.sqrt(2 * math.pi * s2)
+        return stable._exp(-(x**2) / (2 * s2)) / math.sqrt(2 * math.pi * s2)
 
 
 @dataclass(frozen=True)
@@ -296,6 +297,7 @@ class Sum(RandomLaw):
     def cf(self, w):
         return self.law1.cf(w) * self.law2.cf(w)
 
+    @lru_cache(maxsize=256)  # plan_grid and convolve both read it
     def series(self):
         """The product of the two series, equal powers merged: exact below
         the smaller order, so stables of one alpha give their sum's series."""

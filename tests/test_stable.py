@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from stable_info.density import (
     SaS,
     Scaled,
     Sum,
+    Uniform,
     plan_grid,
     realize,
 )
@@ -24,6 +26,7 @@ from stable_info.stable import (
     _ALIAS_DEGREE,
     StableParams,
     _alias_images,
+    cf_sas,
     logpdf_sas,
     pdf_grid_cf,
     pdf_grid_sas,
@@ -98,6 +101,41 @@ def plain_alias_images(x, tail, L):
     return even(2.0 * (x / L) ** 2 - 1.0)
 
 
+def plain_cf_sas(alpha, gamma, w):
+    """cf_sas as it was before it skipped the lanes where it is 0.0: the
+    power and exp over every lane."""
+    return np.exp(-(gamma**alpha) * np.abs(w) ** alpha)
+
+
+def plain_gaussian_cf(sigma, w):
+    """Gaussian.cf as it was before it skipped the lanes where it is 0.0."""
+    return np.exp(-0.5 * (sigma * w) ** 2)
+
+
+def plain_gaussian_pdf(sigma, x):
+    """Gaussian._pdf as it was before it skipped the lanes where it is 0.0."""
+    s2 = sigma**2
+    return np.exp(-(x**2) / (2 * s2)) / math.sqrt(2 * math.pi * s2)
+
+
+def plain_cf(law):
+    """law.cf with plain_cf_sas and plain_gaussian_cf at its stable,
+    Cauchy and Gaussian parts, so a test of the inverter also sees a
+    change in those characteristic functions."""
+    if isinstance(law, (SaS, Cauchy)):
+        return functools.partial(plain_cf_sas, getattr(law, "alpha", 1.0), law.gamma)
+    if isinstance(law, Gaussian):
+        return functools.partial(plain_gaussian_cf, law.sigma)
+    if isinstance(law, Sum):
+        cf1, cf2 = plain_cf(law.law1), plain_cf(law.law2)
+        return lambda w: cf1(w) * cf2(w)
+    if isinstance(law, Scaled):
+        cf = plain_cf(law.law)
+        return lambda w: cf(law.c * w)
+    assert isinstance(law, (Laplace, Uniform))
+    return law.cf
+
+
 def plain_pdf_grid_cf(cf, tail, grid):
     """pdf_grid_cf as it was before it built the density in one buffer:
     the full grid.points(), fftshift, a concatenated image array, a
@@ -126,6 +164,7 @@ def plain_pdf_grid_cf(cf, tail, grid):
     return GriddedDensity(f.x0, h, f.values * ((1.0 - f.tail_mass()) / core), tail)
 
 
+GIIE_MIX = Sum(SaS(1.8, reference_gamma(1.8)), Gaussian(3.889735))
 # (law, grid) pairs the one-buffer inverter is held to the plain route on
 INVERSIONS = [
     pytest.param(SaS(0.4, 1.0), GridSpec(2**16, 200.0), id="S0.4-folded"),
@@ -136,6 +175,9 @@ INVERSIONS = [
     pytest.param(Scaled(SaS(1.5, 1.0), -2.0), GridSpec(2**16, 400.0), id="scaled-negative"),
     pytest.param(Sum(Gaussian(1.0), Laplace(1.0)), GridSpec(2**16, 200.0), id="no-tail"),
     pytest.param(SaS(0.6, 1.0), plan_grid(SaS(0.6, 1.0), 0.6), id="spectral-2^17"),
+    # the giie-mix sum of the inequality-checks benchmark on its spectral
+    # grid: its Gaussian factor crosses the subnormal band of exp
+    pytest.param(GIIE_MIX, plan_grid(GIIE_MIX, 1.8), id="giie-mix"),
 ]
 TAILED = [case for case in INVERSIONS if tail_law(case.values[0].series()) is not None]
 
@@ -300,7 +342,7 @@ class TestOneBufferInversion:
     def test_pdf_grid_cf_is_the_plain_route(self, law, grid):
         tail = tail_law(law.series())
         new = pdf_grid_cf(law.cf, tail, grid, repr(law))
-        old = plain_pdf_grid_cf(law.cf, tail, grid)
+        old = plain_pdf_grid_cf(plain_cf(law), tail, grid)
         assert (new.x0, new.h, new.tail) == (old.x0, old.h, old.tail)
         assert np.array_equal(new.values, old.values)
 
@@ -311,6 +353,108 @@ class TestOneBufferInversion:
         tail, L = tail_law(law.series()), grid.half_extent
         for x in (grid.points()[: grid.n // 2 + 1], np.append(grid.points(), L)):
             assert np.array_equal(_alias_images(x, tail, L), plain_alias_images(x, tail, L))
+
+
+def same(new, old):
+    """new is old bit for bit, in type, dtype and shape."""
+    a, b = np.asarray(new), np.asarray(old)
+    return type(new) is type(old) and (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+# arguments of every kind a characteristic function takes
+EDGE_W = [
+    0.5, -0.0, math.inf, -math.inf, math.nan, np.float64(-3.0), np.array(2.0), np.array(-0.0),
+    np.array([[0.0, -0.0, -1.5, math.inf], [-math.inf, math.nan, 1e300, -1e-300]]),
+    np.arange(-40, 41), np.linspace(-60.0, 60.0, 1201, dtype=np.float32),
+]
+
+
+def band_w(scale, power):
+    """Signed w across the lanes where scale |w|^power passes 708 (exp
+    subnormal) and 746 (exp exactly 0.0), densely, and ten times the
+    latter's |w| beyond; a sweep up to 1e300 where that |w| overflows."""
+    log_edge = (math.log(746.0) - math.log(scale)) / power if scale > 0 else math.inf
+    if log_edge > 690.0:
+        w = np.geomspace(1e-300, 1e300, 60_001)
+    else:
+        edge = math.exp(log_edge)
+        w = np.concatenate([np.linspace(0.0, 10.0 * edge, 100_001), edge * (1.0 + np.arange(-2000, 2001) * 1e-12)])
+    return np.concatenate([w, -w])
+
+
+def crosses_both_bands(values):
+    return np.any((values > 0) & (values < np.finfo(float).tiny)) and np.any(values == 0.0)
+
+
+class TestDeadLanes:
+    """The characteristic functions and Gaussian densities skip exp (and
+    cf_sas the power) where the result is exactly 0.0, bit for bit the
+    expressions they had before."""
+
+    def test_exp_is_exactly_zero_at_and_below_minus_746(self):
+        # the premise of stable._exp; a numpy whose exp changes this fails here
+        x = np.concatenate(
+            [[np.nextafter(-746.0, 0.0), -746.0, -math.inf], np.linspace(-746.0, -800.0, 100_001),
+             -np.geomspace(746.0, 1e308, 100_001)]
+        )
+        assert not np.any(np.exp(x)) and not np.any(np.signbit(np.exp(x)))
+        for v in x[:3]:
+            assert np.exp(v) == 0.0 and np.exp(np.float64(v)) == 0.0
+
+    @pytest.mark.parametrize(
+        "alpha, gamma",
+        [
+            (1.8, 1.0), (1.2, 0.3), (0.4, reference_gamma(0.4)), (1.0, 1e-3), (2.0, 1.0),
+            (0.5, 1e-150),  # the cut at |w| = 5.6e155
+            (0.4, 1e-300),  # the cut at |w| = 1.5e307
+            (0.3, 1e-300),  # the cut overflows to inf
+            (1.8, 1e-175),  # gamma^alpha subnormal, 746 / gamma^alpha inf
+            (1.8, 1e-200),  # gamma^alpha is 0.0: no cut, and 0 * inf is NaN at w = inf
+        ],
+    )
+    def test_cf_sas_is_the_plain_expression(self, alpha, gamma):
+        band = band_w(gamma**alpha, alpha)
+        # the plain power overflows at 1e300, and 0 * inf is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            for w in EDGE_W + [band]:
+                assert same(cf_sas(alpha, gamma, w), plain_cf_sas(alpha, gamma, w)), w
+        if gamma >= 1e-3:
+            assert crosses_both_bands(plain_cf_sas(alpha, gamma, band))
+
+    @pytest.mark.parametrize("sigma", [1.0, 3.889735, 1e-3, 1e-100, 1e100])
+    def test_gaussian_cf_is_the_plain_expression(self, sigma):
+        band = band_w(0.5 * sigma**2, 2.0)
+        # squares overflow at 1e300, and float32 ones underflow to 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for w in EDGE_W + [band]:
+                assert same(Gaussian(sigma).cf(w), plain_gaussian_cf(sigma, w)), w
+                assert same(Gaussian(sigma)._pdf(w), plain_gaussian_pdf(sigma, w)), w
+        if 1e-3 <= sigma <= 10:
+            assert crosses_both_bands(plain_gaussian_cf(sigma, band))
+
+    @pytest.mark.parametrize("sigma", [1.0, 3.889735])
+    def test_realized_gaussian_is_the_plain_expression(self, sigma):
+        law = Gaussian(sigma)
+        grid = plan_grid(law)
+        x = grid.points()
+        plain = plain_gaussian_pdf(sigma, x)
+        assert crosses_both_bands(plain)
+        old = GriddedDensity(float(x[0]), grid.h, np.clip(plain, 0.0, None)).normalize()
+        new = law._realize_on(grid)
+        assert (new.x0, new.h, new.tail) == (old.x0, old.h, None)
+        assert same(new.values, old.values)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.05])
+    def test_pdf_grid_sas_at_alpha_2_is_the_plain_expression(self, gamma):
+        grid = plan_grid(SaS(2.0, gamma))
+        x = grid.points()
+        var = 2.0 * gamma**2
+        plain = np.exp(-(x**2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+        assert crosses_both_bands(plain)
+        old = GriddedDensity(float(x[0]), grid.h, plain, None).normalize()
+        new = pdf_grid_sas(2.0, gamma, grid)
+        assert (new.x0, new.h, new.tail) == (old.x0, old.h, None)
+        assert same(new.values, old.values)
 
 
 class TestSharedDensity:
