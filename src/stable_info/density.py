@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -297,7 +296,6 @@ class Sum(RandomLaw):
     def cf(self, w):
         return self.law1.cf(w) * self.law2.cf(w)
 
-    @lru_cache(maxsize=256)  # plan_grid and convolve both read it
     def series(self):
         """The product of the two series, equal powers merged: exact below
         the smaller order, so stables of one alpha give their sum's series."""

@@ -116,17 +116,9 @@ def cf_sas(alpha: float, gamma: float, w) -> np.ndarray:
     """Characteristic function exp(-(gamma |w|)^alpha) of S(alpha, gamma).
     numpy 2.4's exp leaves its fast path where results underflow (32,769 lanes:
     27-38 us at ordinary arguments, 0.21-0.67 ms if all are 0.0, ~4 ms if
-    subnormal), so exp is taken only above -746 (_exp); at a float64 array and
-    0 < gamma^alpha < inf, the power only where |w| < (746 / gamma^alpha)^(1/alpha)
-    (1 + 1e-9), 7.7 % of S(1.8, 1)'s default rfft bins (a scalar's is libm's pow)."""
-    ga, x = gamma**alpha, np.abs(w)
-    if np.ndim(x) == 0 or x.dtype != np.float64 or not 0.0 < ga < math.inf:
-        return _exp(-ga * x**alpha)
-    with np.errstate(over="ignore"):  # the cut is inf where it overflows
-        live = ~(x >= np.float64(746.0 / ga) ** (1.0 / alpha) * (1.0 + 1e-9))
-    np.copyto(x, np.inf, where=~live)
-    np.power(x, alpha, out=x, where=live)
-    return _exp(np.multiply(x, -ga, out=x))
+    subnormal), so exp is taken only above -746 (_exp): 7.7 % of S(1.8, 1)'s
+    default rfft bins."""
+    return _exp(-(gamma**alpha) * np.abs(w) ** alpha)
 
 
 @functools.lru_cache(maxsize=256)
@@ -194,17 +186,18 @@ def pdf_grid_cf(cf, tail: TailLaw | None, grid: GridSpec, label: str) -> Gridded
     size-n irfft of cf at the non-negative frequencies.  Most are dead: cf_sas
     and Gaussian.cf skip exp below -746, exactly 0.0 and numpy's slow path there.
 
-    While |cf| is above e^-27 (~2e-12) at the fine Nyquist frequency W or at
-    sqrt(2) W (an irrational multiple, so that a zero of an oscillating cf
-    such as a sinc at W does not pass for decay), the spectrum is sampled
-    `stride` = 2, 4, ... times finer and folded onto the n frequencies from
-    its half: exactly the aliasing of keeping every stride-th point of the
-    fine inversion.  At the 2^22-point cap a law with a power tail raises
-    ArithmeticError; a light law, whose cf may decay only like a power of w
-    (Uniform's), is inverted there and keeps the truncation error.  The
-    irfft goes into one buffer, halves swapped (fftshift) and divided by h;
-    the images of a tail law (_alias_images at the points x <= 0) come off
-    both halves, then it is clipped at 0 and normalized in place."""
+    While |cf| is above e^-27 (~2e-12) at the fine Nyquist frequency W
+    or at sqrt(2) W (an irrational multiple, so that a zero of an
+    oscillating cf such as a sinc at W does not pass for decay), the
+    spectrum is sampled `stride` = 2, 4, ... times finer and folded onto
+    the n frequencies: exactly the aliasing of keeping every stride-th
+    point of the fine inversion.  At the 2^22-point cap a law with a
+    power tail raises ArithmeticError; a light law, whose cf may decay
+    only like a power of w (Uniform's), is inverted there and keeps the
+    truncation error.  The irfft goes into one buffer, halves swapped
+    (fftshift) and divided by h; the wrap-around images of a tail law,
+    _alias_images on the n/2 + 1 points x <= 0, are subtracted from both
+    halves, and the buffer is clipped at 0 and normalized in place."""
     h, n = grid.h, grid.n
     half = n // 2
     probe = math.pi / h * np.array([1.0, math.sqrt(2.0)])
@@ -222,12 +215,9 @@ def pdf_grid_cf(cf, tail: TailLaw | None, grid: GridSpec, label: str) -> Gridded
     w = 2.0 * math.pi * np.fft.rfftfreq(n * stride, d=h / stride)
     phi = cf(w)
     if stride > 1:
-        # the full spectrum (phi is even) folded onto n points in the row order of
-        # reshape(stride, n).sum(axis=0): row r is phi[r n + j] or phi[(stride - r) n - j]
-        phi, full = phi[: half + 1].copy(), phi
-        for r in range(1, stride):
-            m = min(r, stride - r) * n
-            phi += full[m : m + half + 1] if 2 * r < stride else full[m - half : m + 1][::-1]
+        # the full spectrum in fftfreq order (phi is even), folded
+        full = np.concatenate([phi, phi[-2:0:-1]])
+        phi = full.reshape(stride, n).sum(axis=0)[: half + 1]
     p = np.divide(np.fft.irfft(phi, n).reshape(2, half)[::-1], h).reshape(n)
     if tail is not None:
         images = _alias_images(np.arange(-half, 1.0) * h, tail, grid.half_extent)

@@ -387,9 +387,9 @@ def crosses_both_bands(values):
 
 
 class TestDeadLanes:
-    """The characteristic functions and Gaussian densities skip exp (and
-    cf_sas the power) where the result is exactly 0.0, bit for bit the
-    expressions they had before."""
+    """The characteristic functions and Gaussian densities skip exp where
+    the result is exactly 0.0, bit for bit the expressions they had
+    before."""
 
     def test_exp_is_exactly_zero_at_and_below_minus_746(self):
         # the premise of stable._exp; a numpy whose exp changes this fails here
@@ -405,11 +405,11 @@ class TestDeadLanes:
         "alpha, gamma",
         [
             (1.8, 1.0), (1.2, 0.3), (0.4, reference_gamma(0.4)), (1.0, 1e-3), (2.0, 1.0),
-            (0.5, 1e-150),  # the cut at |w| = 5.6e155
-            (0.4, 1e-300),  # the cut at |w| = 1.5e307
-            (0.3, 1e-300),  # the cut overflows to inf
-            (1.8, 1e-175),  # gamma^alpha subnormal, 746 / gamma^alpha inf
-            (1.8, 1e-200),  # gamma^alpha is 0.0: no cut, and 0 * inf is NaN at w = inf
+            (0.5, 1e-150),  # exp's argument passes -746 at |w| = 5.6e155
+            (0.4, 1e-300),  # ... at |w| = 1.5e307
+            (0.3, 1e-300),  # ... at no finite |w|
+            (1.8, 1e-175),  # gamma^alpha subnormal
+            (1.8, 1e-200),  # gamma^alpha is 0.0, and 0 * inf is NaN at w = inf
         ],
     )
     def test_cf_sas_is_the_plain_expression(self, alpha, gamma):

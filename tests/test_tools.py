@@ -70,15 +70,5 @@ def test_src_is_compiled_before_the_first_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_record, "bench_run", bench_run)
     monkeypatch.setattr(bench_record, "time_cli", lambda repo, repeats: ({}, True))
-    monkeypatch.setattr(bench_record, "realization_stages", lambda repo: ({}, True))
     assert bench_record.main(["--label", "t", "--repo", str(tmp_path), "--runs", "1"]) == 0
     assert compiled == [True, True]
-
-
-def test_realization_stages_split_pdf_grid_cf():
-    out, ok = bench_record.realization_stages(ROOT)
-    assert ok and sorted(out) == ["S(1.8, 1) default grid", "giie-mix sum spectral grid"]
-    stages = ("cf", "irfft", "alias_images", "normalize")
-    for rec in out.values():
-        assert sorted(rec) == sorted(("n",) + stages + ("pdf_grid_cf",)) and rec["n"] == 2**16
-        assert all(0 < rec[k] < rec["pdf_grid_cf"] for k in stages)

@@ -12,13 +12,11 @@ traced, keeping the median of each per-layer metric.  It also times
 the default CLI commands (and a bare import of the CLI) as
 subprocesses, start-up included, --cli-repeats times each, counts
 each one's minor page faults and records the sha256 of its stdout, so
-two files show whether the commands print the same bytes.  It splits
-two grid realizations into the stages of stable.pdf_grid_cf (see
-realization_stages).  The CLI, the stage split and the benchmark workers
-all run single-threaded (OMP, OpenBLAS and MKL threads set to 1).  The
-file also holds nproc, the python, numpy and scipy versions, and
-src_lines, the line count of src/stable_info/*.py as `wc -l` gives it
-(the ROADMAP tracks it).
+two files show whether the commands print the same bytes.  The CLI and
+the benchmark workers both run single-threaded (OMP, OpenBLAS and MKL
+threads set to 1).  The file also holds nproc, the python, numpy
+and scipy versions, and src_lines, the line count of
+src/stable_info/*.py as `wc -l` gives it (the ROADMAP tracks it).
 
 Before the first run it byte-compiles the checkout's src/ tree, so no
 run compiles a module anew: where PYTHONDONTWRITEBYTECODE is set, a
@@ -26,9 +24,8 @@ stale cache would be recompiled in every run and counted in setup_s.
 
 The output is written to --out (default: the checkout).  Exits 1 if
 src/ does not compile, a benchmark run fails, reports "correct": false
-or a failed operation, a CLI command exits non-zero or prints
-different stdout on its repeats, or the stage split fails; the file is
-written either way.
+or a failed operation, or a CLI command exits non-zero or prints
+different stdout on its repeats; the file is written either way.
 """
 
 from __future__ import annotations
@@ -161,67 +158,6 @@ def time_cli(repo: Path, repeats: int) -> tuple[dict, bool]:
     return out, ok
 
 
-# Run by realization_stages in the measured checkout: each realization
-# is built once to plan its FFT and fill the caches, then STAGE_REPEATS
-# times under its own cProfile, and the cumulative seconds of
-# pdf_grid_cf's direct callees are summed by stage.  S(1.8, 1) is on its
-# default grid; the sum is giie-mix's X + N(0, sigma^2) at the largest
-# sigma of the inequality-checks workload at seed 1, on its spectral grid.
-STAGES_SCRIPT = r"""
-import cProfile, json, pstats, statistics
-from stable_info import density, stable
-from stable_info.density import Gaussian, SaS, Sum, plan_grid
-
-STAGES = {"cf": "cf", "cf_sas": "cf", "irfft": "irfft", "_alias_images": "alias_images", "normalize": "normalize"}
-REPEATS = %d
-mix = Sum(SaS(1.8, stable.reference_gamma(1.8)), Gaussian(3.889735))
-cases = {
-    "S(1.8, 1) default grid": (lambda g: stable.pdf_grid_sas(1.8, 1.0, g), plan_grid(SaS(1.8, 1.0))),
-    "giie-mix sum spectral grid": (lambda g: density.convolve(mix, g), plan_grid(mix, 1.8)),
-}
-out = {}
-for name, (build, grid) in cases.items():
-    build(grid)
-    runs = []
-    for _ in range(REPEATS):
-        prof = cProfile.Profile()
-        prof.runcall(build, grid)
-        stats = pstats.Stats(prof).stats
-        run = dict.fromkeys(("cf", "irfft", "alias_images", "normalize", "pdf_grid_cf"), 0.0)
-        for (_, _, func), (_, _, _, cum, callers) in stats.items():
-            if func == "pdf_grid_cf":
-                run["pdf_grid_cf"] += cum
-            for (_, _, caller), edge in callers.items():
-                if caller == "pdf_grid_cf" and func in STAGES:
-                    run[STAGES[func]] += edge[3]
-        runs.append(run)
-    out[name] = {"n": grid.n, **{k: statistics.median(r[k] for r in runs) for k in runs[0]}}
-print(json.dumps(out))
-"""
-STAGE_REPEATS = 7
-
-
-def realization_stages(repo: Path) -> tuple[dict, bool]:
-    """Median seconds of the stages of stable.pdf_grid_cf (the cf, the
-    irfft, the alias images, normalize, and pdf_grid_cf as a whole) for
-    the two realizations of STAGES_SCRIPT, run single-threaded in a
-    subprocess on the checkout's src/.  cProfile adds a little to each
-    Python call, and these stages are a few calls into numpy each."""
-    proc = subprocess.run(
-        [sys.executable, "-c", STAGES_SCRIPT % STAGE_REPEATS], cwd=repo, env=single_thread_env(repo),
-        capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        error = f"exit {proc.returncode}: {proc.stderr[-2000:]}"
-        print(f"realization stages: {error}", file=sys.stderr)
-        return {"error": error}, False
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    for name, rec in out.items():
-        stages = ", ".join(f"{k} {v * 1e3:.3f} ms" for k, v in rec.items() if k != "n")
-        print(f"stages {name} (n {rec['n']}): {stages}", file=sys.stderr)
-    return out, True
-
-
 def src_lines(repo: Path) -> int:
     """Newlines in src/stable_info/*.py: the total `wc -l` prints."""
     return sum(p.read_bytes().count(b"\n") for p in (repo / "src" / "stable_info").glob("*.py"))
@@ -267,8 +203,6 @@ def main(argv=None) -> int:
         doc["workloads"][w["name"]], clean = record_workload(repo, w["name"], args)
         ok = ok and clean
     doc["cli"], clean = time_cli(repo, args.cli_repeats)
-    ok = ok and clean
-    doc["realization_stages"], clean = realization_stages(repo)
     ok = ok and clean
     doc["clean"] = ok
 
